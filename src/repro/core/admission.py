@@ -13,13 +13,47 @@ remaining capacity.
 
 from __future__ import annotations
 
+from collections.abc import MutableMapping
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..guest.vcpu import VCPU
 from ..simcore.errors import ConfigurationError
 from ..telemetry import events as T
 from ..telemetry.bus import TelemetryBus
+
+
+class GrantTable(MutableMapping):
+    """VCPU uid -> granted bandwidth, keeping the exact sum of its values.
+
+    Every write — through the admission methods or directly — adjusts
+    :attr:`total`, so reading the admitted total is O(1) and can never
+    disagree with the grants themselves.
+    """
+
+    __slots__ = ("_grants", "total")
+
+    def __init__(self) -> None:
+        self._grants: Dict[int, Fraction] = {}
+        #: Exact sum of every grant, in CPUs.
+        self.total = Fraction(0)
+
+    def __getitem__(self, uid: int) -> Fraction:
+        return self._grants[uid]
+
+    def __setitem__(self, uid: int, bandwidth: Fraction) -> None:
+        old = self._grants.get(uid)
+        self._grants[uid] = bandwidth
+        self.total += bandwidth if old is None else bandwidth - old
+
+    def __delitem__(self, uid: int) -> None:
+        self.total -= self._grants.pop(uid)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._grants)
+
+    def __len__(self) -> int:
+        return len(self._grants)
 
 
 class UtilizationAdmission:
@@ -32,9 +66,9 @@ class UtilizationAdmission:
             raise ConfigurationError(
                 f"background reserve {background_reserve} must be in [0, {pcpu_count})"
             )
-        self.pcpu_count = pcpu_count
-        self.background_reserve = Fraction(background_reserve)
-        self._granted: Dict[int, Fraction] = {}  # vcpu uid -> bandwidth
+        self._pcpu_count = pcpu_count
+        self.background_reserve = background_reserve  # also sets capacity
+        self._granted = GrantTable()  # vcpu uid -> bandwidth
         self._names: Dict[int, str] = {}  # vcpu uid -> last-known name
         self._owners: Dict[int, str] = {}  # vcpu uid -> owning VM name
         self._bus: Optional[TelemetryBus] = None
@@ -97,19 +131,44 @@ class UtilizationAdmission:
         vm = getattr(vcpu, "vm", None)
         return vm.name if vm is not None else ""
 
+    # -- capacity: recomputed whenever either input is assigned ----------------
+
+    @property
+    def pcpu_count(self) -> int:
+        return self._pcpu_count
+
+    @pcpu_count.setter
+    def pcpu_count(self, value: int) -> None:
+        self._pcpu_count = value
+        self._update_capacity()
+
+    @property
+    def background_reserve(self) -> Fraction:
+        return self._background_reserve
+
+    @background_reserve.setter
+    def background_reserve(self, value: Fraction) -> None:
+        self._background_reserve = Fraction(value)
+        self._update_capacity()
+
+    def _update_capacity(self) -> None:
+        self._capacity = max(
+            Fraction(self._pcpu_count) - self._background_reserve, Fraction(0)
+        )
+
     @property
     def capacity(self) -> Fraction:
         """Bandwidth available to RT VCPUs, in CPUs."""
-        return max(Fraction(self.pcpu_count) - self.background_reserve, Fraction(0))
+        return self._capacity
 
     @property
     def total_granted(self) -> Fraction:
         """Currently admitted RT bandwidth, in CPUs."""
-        return sum(self._granted.values(), Fraction(0))
+        return self._granted.total
 
     @property
     def remaining(self) -> Fraction:
-        return self.capacity - self.total_granted
+        return self._capacity - self._granted.total
 
     def granted(self, vcpu: VCPU) -> Fraction:
         """Bandwidth currently held by *vcpu* (0 when unknown)."""
@@ -149,10 +208,10 @@ class UtilizationAdmission:
             if bw > 1:
                 return False, "exceeds-one-pcpu"
             new_grants[vcpu.uid] = bw
-        total = self.total_granted
+        total = self._granted.total
         for uid, bw in new_grants.items():
             total += bw - self._granted.get(uid, Fraction(0))
-        if total > self.capacity:
+        if total > self._capacity:
             return False, "over-capacity"
         self._granted.update(new_grants)
         return True, ""
@@ -206,19 +265,17 @@ class UtilizationAdmission:
         keep its longest-standing contracts.
         """
         revoked: List[int] = []
-        total = self.total_granted
-        capacity = self.capacity
-        order = sorted(self._granted, reverse=True)
+        grants = self._granted
+        order = sorted(grants, reverse=True)
         if self._shed_order is not None:
             order = self._shed_order(order, dict(self._owners))
         for uid in order:
-            if total <= capacity:
+            if grants.total <= self._capacity:
                 break
-            bw = self._granted[uid]
+            bw = grants[uid]
             if bw <= 0:
                 continue
-            self._granted[uid] = Fraction(0)
-            total -= bw
+            grants[uid] = Fraction(0)
             revoked.append(uid)
             # The revoked bandwidth rides in the detail so blame/debug
             # consumers can see how much was taken without a grant table.

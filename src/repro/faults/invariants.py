@@ -25,7 +25,11 @@ snapshots so the offending decision sequence is attached to the error.
 
 The checker is opt-in (nothing attaches it by default), so benchmark
 and experiment hot paths pay nothing unless a robustness run asks for
-it.
+it.  Attached, each batch check costs one pass over the PCPUs
+(``placement``) plus, under deferrable servers, one pass over the
+servers (``budget``, ``edf_order``); ``capacity`` is O(1), because the
+admission grant table keeps its own exact total and the capacity is
+recomputed when the PCPU count or reserve is assigned, not per read.
 """
 
 from __future__ import annotations

@@ -337,7 +337,8 @@ class EDFHostScheduler(HostScheduler):
 
         Iterates only the ready (budget-holding) index, not every
         server; used by the partitioned variant and diagnostics.  The
-        global variant selects through the deadline heap instead.
+        global variant's :meth:`_choose` inlines the same sweep and
+        trims the sorted list to the available PCPUs.
         """
         servers = [s for s in self._ready.values() if _has_work(s.vcpu)]
         servers.sort(key=_SERVER_KEY)

@@ -82,6 +82,8 @@ EVENT_CLASSES = {
 }
 
 KIND_IDS: Dict[str, int] = {kind: i for i, kind in enumerate(ALL_KINDS)}
+if len(KIND_IDS) > 0x80:  # the writer emits kind ids as one byte
+    raise TypeError(f"{len(KIND_IDS)} event kinds do not fit a one-byte id")
 
 # Field codec tags (annotation string -> codec).
 _C_INT = 0
@@ -185,6 +187,7 @@ class TraceWriter:
         self._checkpoints: List[List[int]] = []
         self._sections: List[dict] = []
         self._body_bytes = 0
+        self._frame_start = 0  # buffer offset of the event frame being written
         self._closed = False
         head = bytearray(MAGIC)
         head.append(VERSION)
@@ -206,14 +209,18 @@ class TraceWriter:
             self._buf.clear()
 
     def _intern(self, text: str) -> int:
-        idx = self._strings.get(text)
-        if idx is None:
-            idx = len(self._strings)
-            self._strings[text] = idx
-            payload = text.encode("utf-8")
-            self._buf.append(_TAG_INTERN)
-            _uvarint(self._buf, len(payload))
-            self._buf += payload
+        """Assign *text* the next id.  Its intern frame is inserted at
+        the start of the event frame being written, so it precedes the
+        event that first uses it."""
+        idx = len(self._strings)
+        self._strings[text] = idx
+        payload = text.encode("utf-8")
+        frame = bytearray((_TAG_INTERN,))
+        _uvarint(frame, len(payload))
+        frame += payload
+        at = self._frame_start
+        self._buf[at:at] = frame
+        self._frame_start = at + len(frame)
         return idx
 
     def _encode_item(self, out: bytearray, item) -> None:
@@ -227,7 +234,8 @@ class TraceWriter:
             _svarint(out, item)
         elif isinstance(item, str):
             out.append(2)
-            _uvarint(out, self._intern(item))
+            idx = self._strings.get(item)
+            _uvarint(out, self._intern(item) if idx is None else idx)
         elif isinstance(item, float):
             out.append(4)
             out += struct.pack("<d", item)
@@ -243,48 +251,59 @@ class TraceWriter:
             self._encode_item(out, item)
 
     def write_event(self, kind: str, event) -> None:
-        if (
-            self._events
-            and self._events % CHECKPOINT_EVERY == 0
-            and not self._sections
-        ):
+        """Append one event frame, in one pass straight into the buffer.
+
+        Zigzag varints that fit one byte (small time deltas and ints)
+        and interned ids below 128 are written inline without a call.
+        """
+        buf = self._buf
+        count = self._events
+        if count and count % CHECKPOINT_EVERY == 0 and not self._sections:
             self._checkpoints.append(
-                [
-                    self._body_bytes + len(self._buf),
-                    self._events,
-                    self._prev_time,
-                    len(self._strings),
-                ]
+                [self._body_bytes + len(buf), count, self._prev_time, len(self._strings)]
             )
         kind_id = KIND_IDS[kind]
-        codecs = _SCHEMAS[kind_id][1]
-        frame = bytearray()
-        frame.append(_TAG_EVENT)
-        _uvarint(frame, kind_id)
+        self._frame_start = len(buf)
+        buf.append(_TAG_EVENT)
+        buf.append(kind_id)  # one byte: ALL_KINDS has < 128 kinds
         t = event[0]
-        _svarint(frame, t - self._prev_time)
+        value = t - self._prev_time
         self._prev_time = t
-        for codec, value in zip(codecs, event[1:]):
+        value = value << 1 if value >= 0 else ((-value) << 1) - 1
+        if value < 0x80:
+            buf.append(value)
+        else:
+            _uvarint(buf, value)
+        strings = self._strings
+        for codec, value in zip(_SCHEMAS[kind_id][1], event[1:]):
             if codec == _C_INT:
-                _svarint(frame, value)
-            elif codec == _C_STR:
-                _uvarint(frame, self._intern(value))
-            elif codec == _C_OPT_STR:
-                if value is None:
-                    frame.append(0)
-                else:
-                    frame.append(1)
-                    _uvarint(frame, self._intern(value))
+                value = value << 1 if value >= 0 else ((-value) << 1) - 1
+            elif codec == _C_STR or codec == _C_OPT_STR:
+                if codec == _C_OPT_STR:
+                    if value is None:
+                        buf.append(0)
+                        continue
+                    buf.append(1)
+                idx = strings.get(value)
+                value = self._intern(value) if idx is None else idx
             elif codec == _C_BOOL:
-                frame.append(1 if value else 0)
+                buf.append(1 if value else 0)
+                continue
             elif codec == _C_VALUE:
-                self._encode_item(frame, value)
+                self._encode_item(buf, value)
+                continue
             else:
-                self._encode_tuple(frame, tuple(value))
-        self._buf += frame
-        self._events += 1
-        self._counts[kind] = self._counts.get(kind, 0) + 1
-        if len(self._buf) >= _FLUSH_BYTES:
+                self._encode_tuple(buf, tuple(value))
+                continue
+            # value is now unsigned: a zigzagged int or an interned id
+            if value < 0x80:
+                buf.append(value)
+            else:
+                _uvarint(buf, value)
+        self._events = count + 1
+        counts = self._counts
+        counts[kind] = counts.get(kind, 0) + 1
+        if len(buf) >= _FLUSH_BYTES:
             self._flush()
 
     # merge support: append a whole recorded body as one labelled section

@@ -159,29 +159,32 @@ class DynamicStreamingWorkload:
         return self.rng.uniform_int(self.min_interval_ns, self.max_interval_ns)
 
     def _schedule_segment(self, vm: VM, slot: int, at: int, busy: bool) -> None:
-        if at >= self.duration_ns:
-            return
-        length = min(self._random_interval(), self.duration_ns - at)
-        if busy:
-            self.engine.at(
-                at,
-                self._start_session,
-                vm,
-                slot,
-                at + length,
-                priority=PRIORITY_DEFAULT,
-                name="session-start",
-            )
-        else:
-            self.engine.at(
-                at,
-                self._start_idle_reserve,
-                vm,
-                at + length,
-                priority=PRIORITY_DEFAULT,
-                name="idle-start",
-            )
-        self._schedule_segment(vm, slot, at + length, not busy)
+        """Schedule the slot's alternating busy/idle segments from *at* to
+        the end of the workload.  A loop, not one call per segment: a slot
+        with short intervals holds thousands of segments."""
+        while at < self.duration_ns:
+            length = min(self._random_interval(), self.duration_ns - at)
+            if busy:
+                self.engine.at(
+                    at,
+                    self._start_session,
+                    vm,
+                    slot,
+                    at + length,
+                    priority=PRIORITY_DEFAULT,
+                    name="session-start",
+                )
+            else:
+                self.engine.at(
+                    at,
+                    self._start_idle_reserve,
+                    vm,
+                    at + length,
+                    priority=PRIORITY_DEFAULT,
+                    name="idle-start",
+                )
+            at += length
+            busy = not busy
 
     def _start_session(self, vm: VM, slot: int, end_ns: int) -> None:
         profile = TABLE3_PROFILES[self.rng.choice(sorted(TABLE3_PROFILES))]

@@ -5,14 +5,31 @@ codec table in :mod:`repro.telemetry.record` is built from, so every
 event kind — and every field codec, including signed timestamp deltas,
 interned strings, nested tuples with floats, and the tagged-scalar
 ``HypercallEvent.flag`` — is exercised with adversarial values.
+
+:class:`ReferenceEncoder` is the straightforward per-field encoder (one
+helper call per field into a per-event frame); the writer's one-pass
+encoder must produce the same body bytes, hence the same trace hash.
 """
+
+import hashlib
+import struct
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.telemetry import TraceReader, merge_traces
 from repro.telemetry import events as T
-from repro.telemetry.record import EVENT_CLASSES, TraceWriter
+from repro.telemetry.record import (
+    _C_BOOL,
+    _C_INT,
+    _C_OPT_STR,
+    _C_STR,
+    _C_VALUE,
+    _SCHEMAS,
+    EVENT_CLASSES,
+    KIND_IDS,
+    TraceWriter,
+)
 
 # Text drawn from a small alphabet so interning gets collisions, plus a
 # few adversarial shapes (empty, unicode, long).
@@ -21,7 +38,16 @@ names = st.one_of(
     st.text(max_size=8),
 )
 
-ints = st.integers(min_value=-(2**62), max_value=2**62)
+# Small values take the one-byte varint paths (either sign); the wide
+# ranges reach multi-byte varints, including magnitudes of 2**63 and up.
+# Event times draw from the same mix, so consecutive events give time
+# deltas of both signs, one-byte and multi-byte.
+ints = st.one_of(
+    st.integers(min_value=-64, max_value=64),
+    st.integers(min_value=-(2**62), max_value=2**62),
+    st.integers(min_value=2**63, max_value=2**80),
+    st.integers(min_value=-(2**80), max_value=-(2**63)),
+)
 
 # Tuple payload items mirror what _encode_item accepts; floats must
 # round-trip bit-exactly (encoded as IEEE doubles, never repr'd).
@@ -69,7 +95,23 @@ any_event = st.one_of(
     ]
 )
 
-event_streams = st.lists(any_event, max_size=60)
+
+def _warmup(n):
+    """*n* events that intern *n* distinct strings, so the strings of the
+    events after them get ids of 128 and up (multi-byte varints)."""
+    return [
+        (T.JOB_COMPLETE, T.JobCompleteEvent(i, f"warmup{i}", i)) for i in range(n)
+    ]
+
+
+event_streams = st.one_of(
+    st.lists(any_event, max_size=60),
+    st.builds(
+        lambda n, events: _warmup(n) + events,
+        st.integers(min_value=128, max_value=200),
+        st.lists(any_event, min_size=1, max_size=30),
+    ),
+)
 
 
 def record(events, header=None):
@@ -77,6 +119,99 @@ def record(events, header=None):
     for kind, event in events:
         writer.write_event(kind, event)
     return writer.close()
+
+
+def _uvarint(out, value):
+    while value > 0x7F:
+        out.append((value & 0x7F) | 0x80)
+        value >>= 7
+    out.append(value)
+
+
+def _svarint(out, value):
+    _uvarint(out, (value << 1) if value >= 0 else ((-value) << 1) - 1)
+
+
+class ReferenceEncoder:
+    """Test-only RTVT body encoder: each field goes through its own
+    codec helper into a fresh per-event frame, and intern frames are
+    appended to the body before the frame that first uses them."""
+
+    def __init__(self):
+        self.body = bytearray()
+        self.strings = {}
+        self.prev_time = 0
+
+    def intern(self, text):
+        idx = self.strings.get(text)
+        if idx is None:
+            idx = len(self.strings)
+            self.strings[text] = idx
+            payload = text.encode("utf-8")
+            self.body.append(0x01)
+            _uvarint(self.body, len(payload))
+            self.body += payload
+        return idx
+
+    def item(self, out, item):
+        if item is None:
+            out.append(0)
+        elif item is True or item is False:
+            out.append(3)
+            out.append(1 if item else 0)
+        elif isinstance(item, int):
+            out.append(1)
+            _svarint(out, item)
+        elif isinstance(item, str):
+            out.append(2)
+            _uvarint(out, self.intern(item))
+        elif isinstance(item, float):
+            out.append(4)
+            out += struct.pack("<d", item)
+        else:
+            out.append(5)
+            self.tuple(out, item)
+
+    def tuple(self, out, items):
+        _uvarint(out, len(items))
+        for item in items:
+            self.item(out, item)
+
+    def event(self, kind, event):
+        kind_id = KIND_IDS[kind]
+        frame = bytearray([0x02])
+        _uvarint(frame, kind_id)
+        _svarint(frame, event[0] - self.prev_time)
+        self.prev_time = event[0]
+        for codec, value in zip(_SCHEMAS[kind_id][1], event[1:]):
+            if codec == _C_INT:
+                _svarint(frame, value)
+            elif codec == _C_STR:
+                _uvarint(frame, self.intern(value))
+            elif codec == _C_OPT_STR:
+                if value is None:
+                    frame.append(0)
+                else:
+                    frame.append(1)
+                    _uvarint(frame, self.intern(value))
+            elif codec == _C_BOOL:
+                frame.append(1 if value else 0)
+            elif codec == _C_VALUE:
+                self.item(frame, value)
+            else:
+                self.tuple(frame, tuple(value))
+        self.body += frame
+
+
+@settings(max_examples=120, deadline=None)
+@given(event_streams)
+def test_writer_matches_reference_encoder(events):
+    reference = ReferenceEncoder()
+    for kind, event in events:
+        reference.event(kind, event)
+    reader = TraceReader(record(events))
+    assert reader.body_bytes() == bytes(reference.body)
+    assert reader.trace_hash == hashlib.sha256(reference.body).hexdigest()
 
 
 @settings(max_examples=120, deadline=None)

@@ -96,3 +96,42 @@ class TestChurn:
             return [(s.name, s.start_ns, s.fps) for s in w.sessions]
 
         assert run() == run()
+
+
+class TestLongTimeline:
+    def test_slot_with_thousands_of_segments(self):
+        """1-2 ms segments over 6 s put ~4,000 segments on one slot; the
+        timeline must be laid out without one stack frame per segment,
+        drawing each length from the RNG in slot order."""
+        duration, lo, hi = sec(6), msec(1), msec(2)
+        system = RTVirtSystem(pcpu_count=1, cost_model=ZERO_COSTS)
+        workload = DynamicStreamingWorkload(
+            system,
+            RandomSource(5, "churn"),
+            vm_count=1,
+            vcpus_per_vm=1,
+            duration_ns=duration,
+            min_interval_ns=lo,
+            max_interval_ns=hi,
+        )
+        engine = workload.engine
+        calls = []
+
+        class RecordingEngine:
+            def at(self, time, fn, *args, **kwargs):
+                calls.append((time, kwargs["name"], args[-1]))
+                return engine.at(time, fn, *args, **kwargs)
+
+        workload.engine = RecordingEngine()
+        workload.start()
+        workload.engine = engine
+
+        rng = RandomSource(5, "churn")
+        busy = rng.random() < 0.5
+        expected, at = [], 0
+        while at < duration:
+            end = at + min(rng.uniform_int(lo, hi), duration - at)
+            expected.append((at, "session-start" if busy else "idle-start", end))
+            at, busy = end, not busy
+        assert len(expected) > 3000
+        assert calls == expected
