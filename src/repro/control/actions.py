@@ -14,8 +14,9 @@ executor-registry key.
 
 These are ``NamedTuple`` classes (same idiom as the telemetry events)
 rather than frozen dataclasses: two actions are built per bandwidth
-renegotiation on the hot path, and tuple construction is what keeps the
-port within the no-controller overhead gate in ``tools/check_perf.py``.
+renegotiation on the hot path, and tuple construction is the cheapest
+way to build them (the benchmark's ``churn-audited`` workload measures
+that path).
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ Determinism contract: with no observers attached, :meth:`submit` is a
 dict lookup plus the very call the call site used to make directly — no
 events, no RNG, no allocation beyond the action itself — so the
 refactored plumbing stays byte-identical when no policy is attached
-(``tools/check_determinism.py`` gates on this).
+(``tools/check_determinism.py``'s baseline check gates on this).
 """
 
 from __future__ import annotations

@@ -146,12 +146,14 @@ class RTVirtSystem(BaseSystem):
         vm.set_port(
             RTVirtHypercall(self.machine, self.scheduler, self.admission, self.shared_memory)
         )
-        updates = [
+        updates = tuple(
             (v, v.budget_ns, v.period_ns)
             for v in vm.vcpus
             if v.budget_ns > 0 and v.period_ns > 0
-        ]
-        if updates and not self.admission.try_commit(updates):
+        )
+        if updates and not self.control.submit(
+            A.AdmitRequest(admission=self.admission, updates=updates)
+        ):
             for vcpu, budget_ns, period_ns in updates:
                 self._displaced.append((vcpu, budget_ns, period_ns))
                 vcpu.set_params(0, period_ns)

@@ -8,7 +8,6 @@ wiring.
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional
 
 from ..control import actions as A
@@ -38,15 +37,7 @@ class BaseSystem:
         #: (cross-layer port calls, PCPU faults); subclasses register
         #: their own (host admission, scheduler renegotiation).
         self.control = ActuationPort()
-        #: REPRO_DIRECT_ACTUATION=1 leaves the machine's port detached:
-        #: every call site falls back to its direct mechanism call (the
-        #: pre-refactor shape).  Only ``tools/check_perf.py`` uses this,
-        #: as the in-session baseline for the port-overhead A/B gate;
-        #: policies cannot attach while it is set.
-        if os.environ.get("REPRO_DIRECT_ACTUATION") == "1":
-            self.machine.control = None
-        else:
-            self.machine.control = self.control
+        self.machine.control = self.control
         self.control.register(
             A.IncBandwidth.kind, lambda a: a.port.request_increase(a.updates)
         )

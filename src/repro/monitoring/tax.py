@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
+from ..control.actions import DecBandwidth
 from ..guest.vcpu import VCPU
 from ..simcore.errors import ConfigurationError
 from .usage import UsageMonitor
@@ -73,7 +74,7 @@ class IdleCpuTax:
         return out
 
     def apply(self, system, assessments: List[TaxAssessment]) -> Fraction:
-        """Apply the deductions through the host's DEC_BW path.
+        """Apply the deductions as DEC_BW actions on *system*'s port.
 
         Returns the total bandwidth reclaimed.  Only used when the host is
         oversubscribed; the paper notes public-cloud billing already
@@ -82,8 +83,11 @@ class IdleCpuTax:
         reclaimed = Fraction(0)
         for assessment in assessments:
             vcpu = assessment.vcpu
-            vcpu.vm.port.notify_decrease(
-                [(vcpu, assessment.taxed_budget_ns, vcpu.period_ns)]
+            system.control.submit(
+                DecBandwidth(
+                    port=vcpu.vm.port,
+                    updates=((vcpu, assessment.taxed_budget_ns, vcpu.period_ns),),
+                )
             )
             reclaimed += assessment.reclaimed_bw
         return reclaimed

@@ -35,8 +35,9 @@ pop order:
     its own bucket.
 
 Select the implementation per process with ``REPRO_EVENT_QUEUE=heap``
-(or ``calendar``); ``tools/check_determinism.py --queue`` uses this to
-prove the two pop byte-identically over the whole experiment registry.
+(or ``calendar``); the ``heap`` variant of ``tools/check_determinism.py``
+uses this to prove the two pop byte-identically over the whole
+experiment registry.
 """
 
 from __future__ import annotations
@@ -442,7 +443,7 @@ class CalendarEventQueue:
         self._dead = 0
 
 
-#: Implementation registry for ``REPRO_EVENT_QUEUE`` / ``--queue``.
+#: Implementation registry for ``REPRO_EVENT_QUEUE``.
 QUEUE_IMPLS = {
     "calendar": CalendarEventQueue,
     "heap": HeapEventQueue,
@@ -452,9 +453,9 @@ QUEUE_IMPLS = {
 def active_queue_class():
     """The queue implementation selected by ``REPRO_EVENT_QUEUE``.
 
-    Defaults to the calendar queue; the determinism harness's ``--queue``
-    mode sets ``REPRO_EVENT_QUEUE=heap`` to re-run the registry on the
-    reference heap and compare hashes.
+    Defaults to the calendar queue; the determinism oracle's ``heap``
+    variant sets ``REPRO_EVENT_QUEUE=heap`` to re-run its subjects on
+    the reference heap and compare hashes.
     """
     name = os.environ.get("REPRO_EVENT_QUEUE", "calendar")
     try:

@@ -34,7 +34,7 @@ what the miss costs.  Each slice is then classified:
 Reports are **mergeable**: :meth:`BlameReport.merge` over shard
 snapshots in canonical unit order is byte-identical to a single-stream
 run — the same contract PR 4's aggregators honour, gated by
-``tools/check_determinism.py --blame``.
+the ``plan:blame`` subject of ``tools/check_determinism.py``.
 
 This module is the *pure* half: it depends only on spans.  The sharded
 sweep that fans robustness cells out over the runner lives in

@@ -9,8 +9,8 @@ a trace.  The cells are packaged as a
 executor can run them serially or across a process pool; per-system
 results are produced by **merging the seed shards' snapshots in
 canonical unit order**, which in exact tail mode is byte-identical
-however the units were scheduled.  ``tools/check_determinism.py
---streams`` gates on precisely that property.
+however the units were scheduled.  The ``plan:probe`` subject of
+``tools/check_determinism.py`` gates on precisely that property.
 
 The probe is deliberately *not* registered in the experiment registry:
 it is a telemetry-infrastructure check, not a paper experiment, and

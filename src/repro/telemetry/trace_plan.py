@@ -4,9 +4,9 @@ Each work unit records one robustness cell with a flight recorder
 attached and returns the raw trace bytes; the parent merges the shards
 (in canonical unit order) into one sectioned trace whose bytes — and
 hence canonical hash — are identical however the units were executed.
-``tools/check_determinism.py --trace`` gates exactly that property:
-serial, parallel and heap-queue executions must all merge to the same
-hash.
+The ``plan:trace`` subject of ``tools/check_determinism.py`` gates
+exactly that property: serial, pool and heap-queue executions must all
+merge to the same hash.
 
 Like :mod:`repro.telemetry.blame_plan`, this module pulls in the
 experiment/runner layers and is deliberately **not** exported from

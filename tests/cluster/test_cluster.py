@@ -124,6 +124,26 @@ class TestMigration:
         cluster.run(sec(1))
         assert vm.machine is cluster.host_of("vm0").machine
 
+    def test_resume_readmits_through_destination_control(self):
+        cluster = seeded(two_hosts(policy="first_fit"))
+        source = cluster.host_of("vm0")
+        dest = cluster.hosts[1 - source.index]
+        seen = []
+        dest.system.control.observe(lambda action, result: seen.append((action, result)))
+        cluster.migrate("vm0", dest)
+        cluster.run(sec(1))
+        vm = cluster.vms["vm0"]
+        admits = [
+            (action, result)
+            for action, result in seen
+            if action.kind == "admit"
+            and {update[0] for update in action.updates} == set(vm.vcpus)
+        ]
+        assert len(admits) == 1
+        action, admitted = admits[0]
+        assert admitted is True
+        assert action.admission is dest.system.admission
+
     def test_migrate_without_params_is_graceful(self):
         """Satellite: a non-convergent pre-copy (dirty rate >= link)
         must refuse the migration, not raise."""

@@ -94,6 +94,26 @@ class TestIdleCpuTax:
         assert reclaimed > Fraction(1, 3)  # most of the greedy 0.6 claim
         assert system.total_rt_bandwidth == before - reclaimed
 
+    def test_apply_submits_dec_bw_through_the_port(self):
+        system, _, _ = build_system()
+        monitor = UsageMonitor(system, window_ns=msec(500)).start()
+        system.run(sec(3))
+        tax = IdleCpuTax(tax_rate=1.0, protect_ratio=0.0)
+        assessments = tax.assess(monitor)
+        assert assessments
+        seen = []
+        system.control.observe(lambda action, result: seen.append(action))
+        tax.apply(system, assessments)
+        # Each DEC_BW also triggers the host's nested admission decrease.
+        dec_bw = [action for action in seen if action.kind == "dec_bw"]
+        assert len(dec_bw) == len(assessments)
+        for action, assessment in zip(dec_bw, assessments):
+            vcpu = assessment.vcpu
+            assert action.port is vcpu.vm.port
+            assert action.updates == (
+                (vcpu, assessment.taxed_budget_ns, vcpu.period_ns),
+            )
+
     def test_honest_workload_survives_taxation(self):
         system, honest_vm, greedy_vm = build_system()
         monitor = UsageMonitor(system, window_ns=msec(500)).start()

@@ -1,97 +1,54 @@
 #!/usr/bin/env python
-"""Determinism harness over the experiment registry.
+"""Determinism oracle: every subject hashes the same under every variant.
 
-Runs every experiment in :mod:`repro.experiments.registry`, serialises
-each result's ``rows()`` to canonical JSON and hashes it.  Recording a
-baseline before an optimisation and checking against it afterwards
-proves the change preserved byte-identical metrics:
+A *subject* is a registry experiment, hashed as the canonical JSON of
+its ``rows()``, or one of three plans that live outside the registry:
 
-    python tools/check_determinism.py --record baseline_metrics.json
+- ``plan:probe`` -- the telemetry probe: one hash per system of the
+  merged streaming-aggregate snapshots;
+- ``plan:blame`` -- the span/blame sweep (pcpu_fail and hypercall, 1
+  simulated second): the merged blame report plus every cell's snapshot;
+- ``plan:trace`` -- the flight-recorder sweep (pcpu_fail and vm_churn,
+  1 simulated second): the merged canonical trace hash plus every
+  cell's trace hash.
+
+Each subject first runs serially, in-process, as the reference.  It is
+then re-run under every *variant* named by ``--variants``, and each of
+its hashes must equal the reference:
+
+- ``pool``  -- through the work-unit runner with ``--jobs`` worker
+  processes and ``REPRO_RUNNER_FORCE_POOL=1``, so shards really merge
+  across processes even where the executor would stay in-process;
+- ``heap``  -- serially under the reference binary-heap event queue
+  (``REPRO_EVENT_QUEUE=heap``);
+- ``cache`` -- registry subjects only (plans run uncached): a cold run
+  fills a fresh temporary cache, then a warm run must hit every work
+  unit and hash the same.
+
+``--record PATH`` writes the serial hashes as a baseline
+(``{id: {rows, sha256, wall_s}}``); ``--check PATH`` fails on any
+selected subject whose hash differs from it or is missing from it:
+
+    python tools/check_determinism.py --record baseline.json
     ... hack on the scheduler hot path ...
-    python tools/check_determinism.py --check baseline_metrics.json
+    python tools/check_determinism.py --check baseline.json --variants pool,heap,cache
 
-With ``--parallel N`` the same experiments are additionally executed
-through the parallel work-unit runner (``repro.runner``, N worker
-processes, cache disabled) and each experiment's merged ``rows()`` hash
-must equal the serial hash — the serial-vs-parallel equivalence gate:
+``--only`` takes comma-separated subject ids or globs (default: every
+registry experiment; ``'plan:*'`` selects the three plans, ``'*'``
+everything).  ``--seed`` overrides the RNG seed of the robustness
+family and of the blame and trace plans.  Exit status is 1 when any
+subject × variant, or the baseline, diverges; each failure names both.
 
-    python tools/check_determinism.py --parallel 4
-    python tools/check_determinism.py --check baseline.json --parallel 4
+The single-purpose flags of earlier versions map onto the matrix:
 
-With ``--streams N`` the telemetry probe (``repro.telemetry.probe``)
-runs its sharded plan twice — serially and across N workers — and each
-system's *merged streaming-aggregate snapshot* must hash identically:
-the gate that sharded telemetry streams merge byte-identically to a
-single stream.  ``--streams`` stands alone; it does not rerun the
-experiment registry:
-
-    python tools/check_determinism.py --streams 4
-
-With ``--blame N`` the span/blame sweep (``repro.telemetry.blame_plan``)
-runs a fixed two-family robustness sharding twice — serially and across
-N workers — and the merged blame report plus every per-cell snapshot
-must hash identically: the gate that miss attribution is independent of
-how the work units were scheduled.  Like ``--streams`` it stands alone:
-
-    python tools/check_determinism.py --blame 4
-
-With ``--trace N`` the flight-recorder sweep (``repro.telemetry
-.trace_plan``) records a fixed two-family robustness sharding three
-times — serially, across N workers, and serially again under the
-reference heap event queue — and the merged trace's *canonical hash*
-(a digest of every telemetry event the runs emitted, not just the end
-metrics) must be identical in all three: the gate that the simulated
-event stream itself is byte-stable under work-unit re-scheduling and
-the queue-implementation swap.  Like ``--streams`` it stands alone:
-
-    python tools/check_determinism.py --trace 4
-
-With ``--cluster N`` every ``cluster_*`` experiment (the multi-host
-family, sharded per observed host) runs serially and again through the
-parallel work-unit runner with N worker processes, and each
-experiment's merged ``rows()`` hash must equal the serial hash — the
-gate that per-host cluster shards reassemble byte-identically however
-the hosts were distributed over workers.  Like ``--streams`` it stands
-alone; it does not rerun the rest of the registry:
-
-    python tools/check_determinism.py --cluster 4
-
-With ``--feedback N`` every ``feedback_*``/``tenant_*`` experiment (the
-adaptive-control family, sharded per policy cell) runs serially and
-again through the parallel work-unit runner with N worker processes,
-and each experiment's merged ``rows()`` hash must equal the serial hash
-— the gate that the policy head-to-head cells reassemble byte-
-identically however they were distributed over workers, and that a
-feedback-controller run is reproducible under its fixed seed.  Like
-``--cluster`` it stands alone:
-
-    python tools/check_determinism.py --feedback 4
-
-With ``--cache`` the selected experiments run twice through the runner
-against a fresh temporary cache directory — a cold run that writes
-every work unit, then a warm rerun that must execute *nothing* (every
-unit a cache hit, zero misses) while its merged ``rows()`` still hash
-identically to the cold run's: the gate that the dependency-aware
-incremental cache returns the same bytes it stored.  It composes with
-``--parallel`` (the warm pair then runs with that worker count, and
-the cold hashes are also checked against the serial digests):
-
-    python tools/check_determinism.py --cache
-    python tools/check_determinism.py --parallel 4 --cache
-
-With ``--queue`` every selected experiment runs twice serially — once
-under the calendar event queue (the default implementation) and once
-under the reference binary heap (``REPRO_EVENT_QUEUE=heap``) — and the
-two metrics hashes must match per experiment: the gate that the queue
-swap changed *nothing* about simulated behaviour:
-
-    python tools/check_determinism.py --queue
-    python tools/check_determinism.py --queue --only "table1,fig5b"
-
-Exit status is non-zero when any experiment's hash differs from the
-recorded baseline (or, with ``--check``, when an experiment appeared or
-disappeared), or when the parallel runner's merged output diverges from
-the serial path, or when the two queue implementations disagree.
+    --parallel N     --variants pool --jobs N
+    --queue          --variants heap
+    --cache          --variants cache
+    --streams N      --only plan:probe --variants pool --jobs N
+    --blame N        --only plan:blame --variants pool --jobs N
+    --trace N        --only plan:trace --variants pool,heap --jobs N
+    --cluster N      --only 'cluster_*' --variants pool --jobs N
+    --feedback N     --only 'feedback_*,tenant_*' --variants pool --jobs N
 """
 
 from __future__ import annotations
@@ -101,11 +58,28 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 import time
+from fnmatch import fnmatch
+from unittest import mock
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.experiments import registry  # noqa: E402
+from repro.runner import ResultCache, run_experiments  # noqa: E402
+from repro.runner.executor import execute_plan  # noqa: E402
+from repro.simcore.time import sec  # noqa: E402
+from repro.telemetry.blame_plan import BLAME_SEED, blame_plan  # noqa: E402
+from repro.telemetry.probe import probe_plan  # noqa: E402
+from repro.telemetry.trace_plan import TRACE_SEED, trace_plan  # noqa: E402
+
+VARIANTS = ("pool", "heap", "cache")
+
+#: The environment each variant runs under (cache runs as-is).
+VARIANT_ENV = {
+    "pool": {"REPRO_RUNNER_FORCE_POOL": "1"},
+    "heap": {"REPRO_EVENT_QUEUE": "heap"},
+}
 
 
 def _canonical(value):
@@ -131,527 +105,226 @@ def rows_hash(rows) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def experiment_digest(experiment_id: str, seed=None) -> dict:
-    """Run one experiment and return its row count and metrics hash.
+def _cell(part) -> str:
+    return f"{part['fault']}/{part['scheduler']}"
 
-    With *seed* set, seed-taking experiments (the robustness family) run
-    through the work-unit plans in-process (``jobs=1``) so the override
-    reaches them; the plans are the same ones the parallel rerun uses.
-    """
-    started = time.perf_counter()
-    if seed is not None:
-        from repro.runner import run_experiments
 
-        report = run_experiments([experiment_id], jobs=1, seed=seed)
-        rows = report.reports[0].rows
-    else:
-        rows = registry.run(experiment_id).rows()
-    elapsed = time.perf_counter() - started
+def _probe_digest(result) -> dict:
     return {
-        "rows": len(rows),
-        "sha256": rows_hash(rows),
-        "wall_s": round(elapsed, 2),
+        f"plan:probe/{system}": rows_hash(result.merged[system])
+        for system in sorted(result.merged)
     }
 
 
-def check_parallel(ids, serial_digests, jobs: int, seed=None) -> list:
-    """Serial-vs-parallel gate: rerun through the work-unit runner.
+def _blame_digest(result) -> dict:
+    digest = {"plan:blame/merged": rows_hash(result.merged.snapshot())}
+    for part in result.parts:
+        digest[f"plan:blame/{_cell(part)}"] = rows_hash(part)
+    return digest
 
-    The runner executes each experiment's work units across *jobs*
-    processes with the cache disabled and merges in canonical order; the
-    merged rows must hash identically to the serial ``registry.run``
-    path, otherwise the shard decomposition (or the engine's determinism)
-    has broken.
+
+def _trace_digest(result) -> dict:
+    digest = {"plan:trace/merged": result.merged_hash}
+    for part in result.parts:
+        digest[f"plan:trace/{_cell(part)}"] = part["hash"]
+    return digest
+
+
+#: Out-of-registry subjects: name -> (plan builder taking the ``--seed``
+#: override, digest projection of the assembled result).
+PLANS = {
+    "plan:probe": (lambda seed: probe_plan(), _probe_digest),
+    "plan:blame": (
+        lambda seed: blame_plan(
+            faults=("pcpu_fail", "hypercall"),
+            duration_ns=sec(1),
+            seed=BLAME_SEED if seed is None else seed,
+        ),
+        _blame_digest,
+    ),
+    "plan:trace": (
+        lambda seed: trace_plan(
+            faults=("pcpu_fail", "vm_churn"),
+            duration_ns=sec(1),
+            seed=TRACE_SEED if seed is None else seed,
+        ),
+        _trace_digest,
+    ),
+}
+
+
+def select(patterns) -> list:
+    """Subjects matching any of *patterns* (ids or globs), in canonical order."""
+    order = registry.all_ids() + list(PLANS)
+    selected = []
+    for pattern in patterns:
+        matches = [subject for subject in order if fnmatch(subject, pattern)]
+        if not matches:
+            raise KeyError(f"no subject matches {pattern!r}")
+        selected.extend(m for m in matches if m not in selected)
+    return selected
+
+
+def run_plan(subject: str, seed=None, jobs: int = 1):
+    """Digest and cell count of one execution of a plan subject."""
+    build, project = PLANS[subject]
+    result = execute_plan(build(seed), jobs=jobs)
+    return project(result), len(result.parts)
+
+
+def run_serial(subject: str, seed=None):
+    """Digest (``{label: hash}``) and row count of one in-process run.
+
+    Registry subjects run through ``registry.run`` -- the unsharded
+    path the pool variant's merged shards are held against.  With
+    *seed* set they run through the work-unit plans in-process instead,
+    so the override reaches the seed-taking experiments.
     """
-    from repro.runner import run_experiments
-
-    print(f"[determinism] parallel rerun with {jobs} job(s) ...", flush=True)
-    report = run_experiments(ids, jobs=jobs, seed=seed)
-    failures = []
-    for experiment_report in report.reports:
-        experiment_id = experiment_report.experiment_id
-        got = rows_hash(experiment_report.rows)
-        want = serial_digests[experiment_id]["sha256"]
-        verdict = "ok" if got == want else "DIVERGED"
-        print(
-            f"[determinism]   {experiment_id}: parallel {got[:16]} "
-            f"vs serial {want[:16]}: {verdict}",
-            flush=True,
-        )
-        if got != want:
-            failures.append(
-                f"{experiment_id}: parallel hash {got[:16]} != serial {want[:16]}"
-            )
-    print(f"[determinism] parallel rerun took {report.wall_s:.1f}s", flush=True)
-    return failures
+    if subject in PLANS:
+        return run_plan(subject, seed)
+    if seed is None:
+        rows = registry.run(subject).rows()
+    else:
+        rows = run_experiments([subject], seed=seed).reports[0].rows
+    return {subject: rows_hash(rows)}, len(rows)
 
 
-def check_streams(jobs: int) -> list:
-    """Streamed-aggregates gate: sharded snapshots merge byte-identically.
-
-    Runs the telemetry probe plan in-process and again across *jobs*
-    worker processes; for every probed system the merged
-    :class:`~repro.telemetry.aggregate.StandardTelemetry` snapshot must
-    hash identically (exact tail mode makes the merge lossless, so any
-    divergence means the aggregate merge — or the engine — lost
-    determinism).
-    """
-    from repro.runner.executor import execute_plan
-    from repro.telemetry.probe import probe_plan
-
-    print(f"[determinism] telemetry-stream rerun with {jobs} job(s) ...", flush=True)
-    plan = probe_plan()
-    serial = execute_plan(plan, jobs=1)
-    parallel = execute_plan(plan, jobs=max(1, jobs))
-    failures = []
-    for system in sorted(serial.merged):
-        want = rows_hash(serial.merged[system])
-        got = rows_hash(parallel.merged.get(system))
-        verdict = "ok" if got == want else "DIVERGED"
-        print(
-            f"[determinism]   streams/{system}: parallel {got[:16]} "
-            f"vs serial {want[:16]}: {verdict}",
-            flush=True,
-        )
-        if got != want:
-            failures.append(
-                f"streams/{system}: parallel snapshot {got[:16]} "
-                f"!= serial {want[:16]}"
-            )
-    return failures
+def _report_digests(report) -> dict:
+    return {
+        r.experiment_id: {r.experiment_id: rows_hash(r.rows)} for r in report.reports
+    }
 
 
-def check_blame(jobs: int, seed=None) -> list:
-    """Blame-report gate: sharded miss attribution merges byte-identically.
-
-    Runs a fixed blame sweep (two fault families, every scheduler, 1
-    simulated second, fixed seed) in-process and again across *jobs*
-    worker processes; the merged :class:`~repro.telemetry.blame.BlameReport`
-    snapshot and each cell's own snapshot must hash identically.
-    """
-    from repro.runner.executor import execute_plan
-    from repro.simcore.time import sec
-    from repro.telemetry.blame_plan import blame_plan
-
-    print(f"[determinism] blame-sweep rerun with {jobs} job(s) ...", flush=True)
-    plan = blame_plan(
-        faults=("pcpu_fail", "hypercall"),
-        duration_ns=sec(1),
-        seed=seed if seed is not None else 11,
-    )
-    serial = execute_plan(plan, jobs=1)
-    parallel = execute_plan(plan, jobs=max(1, jobs))
-    failures = []
-    want = rows_hash(serial.merged.snapshot())
-    got = rows_hash(parallel.merged.snapshot())
-    verdict = "ok" if got == want else "DIVERGED"
-    print(
-        f"[determinism]   blame/merged: parallel {got[:16]} "
-        f"vs serial {want[:16]}: {verdict}",
-        flush=True,
-    )
-    if got != want:
-        failures.append(
-            f"blame/merged: parallel report {got[:16]} != serial {want[:16]}"
-        )
-    for serial_part, parallel_part in zip(serial.parts, parallel.parts):
-        cell = f"{serial_part['fault']}/{serial_part['scheduler']}"
-        want = rows_hash(serial_part)
-        got = rows_hash(parallel_part)
-        if got != want:
-            print(
-                f"[determinism]   blame/{cell}: parallel {got[:16]} "
-                f"vs serial {want[:16]}: DIVERGED",
-                flush=True,
-            )
-            failures.append(
-                f"blame/{cell}: parallel shard {got[:16]} != serial {want[:16]}"
-            )
-    return failures
-
-
-def check_trace(jobs: int, seed=None) -> list:
-    """Flight-recorder gate: canonical trace hashes survive resharding.
-
-    Records a fixed robustness trace sweep (two fault families, every
-    scheduler, 1 simulated second) in-process, again across *jobs*
-    worker processes, and a third time serially under the reference
-    heap event queue (``REPRO_EVENT_QUEUE=heap``).  The merged trace —
-    every telemetry event of every cell, framed in canonical unit
-    order — must hash identically in all three executions: the event
-    *stream*, not just the derived metrics, is byte-stable.
-    """
-    from repro.runner.executor import execute_plan
-    from repro.simcore.time import sec
-    from repro.telemetry.trace_plan import trace_plan
-
-    print(f"[determinism] trace-sweep rerun with {jobs} job(s) ...", flush=True)
-    plan = trace_plan(
-        faults=("pcpu_fail", "vm_churn"),
-        duration_ns=sec(1),
-        seed=seed if seed is not None else 11,
-    )
-    serial = execute_plan(plan, jobs=1)
-    parallel = execute_plan(plan, jobs=max(1, jobs))
-    failures = []
-    verdict = "ok" if parallel.merged_hash == serial.merged_hash else "DIVERGED"
-    print(
-        f"[determinism]   trace/merged: parallel {parallel.merged_hash[:16]} "
-        f"vs serial {serial.merged_hash[:16]}: {verdict}",
-        flush=True,
-    )
-    if parallel.merged_hash != serial.merged_hash:
-        failures.append(
-            f"trace/merged: parallel hash {parallel.merged_hash[:16]} "
-            f"!= serial {serial.merged_hash[:16]}"
-        )
-        for serial_part, parallel_part in zip(serial.parts, parallel.parts):
-            if serial_part["hash"] != parallel_part["hash"]:
-                cell = f"{serial_part['fault']}/{serial_part['scheduler']}"
-                failures.append(
-                    f"trace/{cell}: parallel shard {parallel_part['hash'][:16]} "
-                    f"!= serial {serial_part['hash'][:16]}"
-                )
-    print("[determinism] trace-sweep heap-queue rerun ...", flush=True)
-    previous = os.environ.get("REPRO_EVENT_QUEUE")
-    os.environ["REPRO_EVENT_QUEUE"] = "heap"
-    try:
-        heap = execute_plan(plan, jobs=1)
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_EVENT_QUEUE", None)
-        else:
-            os.environ["REPRO_EVENT_QUEUE"] = previous
-    verdict = "ok" if heap.merged_hash == serial.merged_hash else "DIVERGED"
-    print(
-        f"[determinism]   trace/merged: heap {heap.merged_hash[:16]} "
-        f"vs calendar {serial.merged_hash[:16]}: {verdict}",
-        flush=True,
-    )
-    if heap.merged_hash != serial.merged_hash:
-        failures.append(
-            f"trace/merged: heap-queue hash {heap.merged_hash[:16]} "
-            f"!= calendar {serial.merged_hash[:16]}"
-        )
-    return failures
-
-
-def check_cluster(jobs: int, seed=None) -> list:
-    """Cluster gate: per-host shards merge byte-identically.
-
-    Every ``cluster_*`` experiment re-runs the same deterministic
-    multi-host simulation once per observed host, so the parallel
-    runner may scatter the hosts of one cluster across workers.  The
-    merged rows must hash identically to the serial ``registry.run``
-    path regardless of that distribution.
-    """
-    cluster_ids = [i for i in registry.all_ids() if i.startswith("cluster_")]
-    digests = {}
-    for experiment_id in cluster_ids:
-        print(f"[determinism] running {experiment_id} ...", flush=True)
-        digests[experiment_id] = experiment_digest(experiment_id, seed=seed)
-        print(
-            f"[determinism]   {experiment_id}: "
-            f"{digests[experiment_id]['sha256'][:16]} "
-            f"({digests[experiment_id]['wall_s']}s)",
-            flush=True,
-        )
-    return check_parallel(cluster_ids, digests, jobs, seed=seed)
-
-
-def check_feedback(jobs: int, seed=None) -> list:
-    """Control-plane gate: per-policy cells merge byte-identically.
-
-    Every ``feedback_*``/``tenant_*`` experiment runs each policy cell
-    as its own work unit, so the parallel runner may scatter the cells
-    of one head-to-head across workers.  The merged rows must hash
-    identically to the serial ``registry.run`` path regardless of that
-    distribution — which also pins down that runs with a feedback
-    controller or credit ledger attached are reproducible under the
-    family's fixed seed.
-    """
-    feedback_ids = [
-        i
-        for i in registry.all_ids()
-        if i.startswith("feedback_") or i.startswith("tenant_")
-    ]
-    digests = {}
-    for experiment_id in feedback_ids:
-        print(f"[determinism] running {experiment_id} ...", flush=True)
-        digests[experiment_id] = experiment_digest(experiment_id, seed=seed)
-        print(
-            f"[determinism]   {experiment_id}: "
-            f"{digests[experiment_id]['sha256'][:16]} "
-            f"({digests[experiment_id]['wall_s']}s)",
-            flush=True,
-        )
-    return check_parallel(feedback_ids, digests, jobs, seed=seed)
-
-
-def check_cache(ids, serial_digests, jobs: int = 1, seed=None) -> list:
-    """Warm-cache gate: a cached rerun is byte-identical and actually hits.
-
-    The cold run populates a fresh temporary cache; the warm rerun must
-    resolve every unit from it (zero misses, at least one hit) and merge
-    rows hashing identically to the cold run's.  When this invocation
-    also computed serial digests (``--record``/``--check``/``--parallel``),
-    the cold hashes must match those too — proving the cached path feeds
-    the exact serial bytes back.
-    """
-    import tempfile
-
-    from repro.runner import ResultCache, run_experiments
-
-    print(f"[determinism] cache gate: cold+warm run ({jobs} job(s)) ...", flush=True)
+def run_variant(variant: str, subjects, jobs: int, seed=None):
+    """Digests of every applicable subject under *variant*, plus problems."""
+    ids = [s for s in subjects if s not in PLANS]
+    if variant == "heap":
+        return {s: run_serial(s, seed)[0] for s in subjects}, []
+    if variant == "pool":
+        digests = {s: run_plan(s, seed, jobs)[0] for s in subjects if s in PLANS}
+        if ids:
+            digests.update(_report_digests(run_experiments(ids, jobs=jobs, seed=seed)))
+        return digests, []
+    if not ids:
+        return {}, []
     with tempfile.TemporaryDirectory(prefix="repro-cache-gate-") as tmp:
-        cache_dir = os.path.join(tmp, "cache")
-        cold = run_experiments(
-            ids, jobs=jobs, cache=ResultCache(cache_dir), seed=seed
-        )
-        warm = run_experiments(
-            ids, jobs=jobs, cache=ResultCache(cache_dir), seed=seed
-        )
+        run_experiments(ids, cache=ResultCache(tmp), seed=seed)
+        warm = run_experiments(ids, cache=ResultCache(tmp), seed=seed)
+    problems = [
+        f"{r.experiment_id} × cache: warm run hit {r.cached_units}/{r.units} units"
+        for r in warm.reports
+        if r.cached_units != r.units
+    ]
+    return _report_digests(warm), problems
+
+
+def compare(subject: str, variant: str, want: dict, got: dict) -> list:
+    """Print every label's verdict; return the divergences."""
     failures = []
-    total_units = warm.cache_hits + warm.cache_misses
-    if warm.cache_hits <= 0 or warm.cache_misses != 0:
-        failures.append(
-            f"cache: warm rerun hit only {warm.cache_hits}/{total_units} "
-            f"units ({warm.cache_misses} misses; expected all hits)"
-        )
-    print(
-        f"[determinism]   warm rerun: {warm.cache_hits}/{total_units} hits, "
-        f"{warm.cache_misses} misses "
-        f"(cold {cold.wall_s:.1f}s -> warm {warm.wall_s:.1f}s)",
-        flush=True,
-    )
-    for cold_report, warm_report in zip(cold.reports, warm.reports):
-        experiment_id = cold_report.experiment_id
-        want = rows_hash(cold_report.rows)
-        got = rows_hash(warm_report.rows)
-        serial = serial_digests.get(experiment_id, {}).get("sha256")
-        diverged = got != want or (serial is not None and want != serial)
-        verdict = "DIVERGED" if diverged else "ok"
+    for label in dict.fromkeys([*want, *got]):
+        expected, actual = want.get(label, "missing"), got.get(label, "missing")
+        verdict = "ok" if actual == expected else "DIVERGED"
         print(
-            f"[determinism]   {experiment_id}: warm {got[:16]} "
-            f"vs cold {want[:16]}: {verdict}",
+            f"[determinism]   {label}: {variant} {actual[:16]} "
+            f"vs serial {expected[:16]}: {verdict}",
             flush=True,
         )
-        if got != want:
+        if actual != expected:
             failures.append(
-                f"{experiment_id}: warm-cache hash {got[:16]} != cold {want[:16]}"
+                f"{subject} × {variant}: {label} {actual[:16]} "
+                f"!= serial {expected[:16]}"
             )
-        elif serial is not None and want != serial:
-            failures.append(
-                f"{experiment_id}: cached hash {want[:16]} != serial {serial[:16]}"
-            )
-    return failures
-
-
-def check_queue(ids, serial_digests, seed=None) -> list:
-    """Queue-implementation gate: calendar vs reference heap.
-
-    The serial digests were produced under the session's default queue
-    (the calendar queue unless ``REPRO_EVENT_QUEUE`` overrides it); this
-    rerun forces the reference binary heap and every experiment's
-    metrics hash must be unchanged.  The engine reads the override per
-    construction, so setting the environment variable in-process covers
-    every system the experiments build.
-    """
-    print("[determinism] heap-queue rerun ...", flush=True)
-    previous = os.environ.get("REPRO_EVENT_QUEUE")
-    os.environ["REPRO_EVENT_QUEUE"] = "heap"
-    failures = []
-    try:
-        for experiment_id in ids:
-            digest = experiment_digest(experiment_id, seed=seed)
-            got = digest["sha256"]
-            want = serial_digests[experiment_id]["sha256"]
-            verdict = "ok" if got == want else "DIVERGED"
-            print(
-                f"[determinism]   {experiment_id}: heap {got[:16]} "
-                f"vs calendar {want[:16]}: {verdict} ({digest['wall_s']}s)",
-                flush=True,
-            )
-            if got != want:
-                failures.append(
-                    f"{experiment_id}: heap-queue hash {got[:16]} "
-                    f"!= calendar {want[:16]}"
-                )
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_EVENT_QUEUE", None)
-        else:
-            os.environ["REPRO_EVENT_QUEUE"] = previous
     return failures
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    mode = parser.add_mutually_exclusive_group(required=False)
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--record", metavar="PATH", help="write baseline hashes to PATH")
     mode.add_argument("--check", metavar="PATH", help="compare against baseline at PATH")
     parser.add_argument(
         "--only",
         metavar="IDS",
-        help="comma-separated experiment ids or globs like 'robustness_*' "
-        "(default: all)",
-    )
-    parser.add_argument(
-        "--parallel",
-        type=int,
-        metavar="JOBS",
-        help="also run the parallel work-unit runner with JOBS processes "
-        "and fail unless its merged output hashes equal the serial run's",
+        help="comma-separated subject ids or globs, e.g. 'robustness_*' or "
+        "'plan:*' (default: every registry experiment)",
     )
     parser.add_argument(
         "--seed",
         type=int,
         metavar="N",
-        help="RNG-seed override for seed-taking experiments (robustness "
-        "family); applied to both the serial and the parallel pass",
+        help="RNG-seed override for the robustness family and the blame "
+        "and trace plans; applied to the reference and every variant",
     )
     parser.add_argument(
-        "--streams",
+        "--jobs",
         type=int,
-        metavar="JOBS",
-        help="run the telemetry probe serially and with JOBS processes "
-        "and fail unless the merged streaming-aggregate snapshots hash "
-        "identically (does not rerun the experiment registry)",
+        default=2,
+        metavar="N",
+        help="worker processes for the pool variant (default 2)",
     )
     parser.add_argument(
-        "--blame",
-        type=int,
-        metavar="JOBS",
-        help="run the span/blame sweep serially and with JOBS processes "
-        "and fail unless the merged blame reports hash identically "
-        "(does not rerun the experiment registry)",
-    )
-    parser.add_argument(
-        "--trace",
-        type=int,
-        metavar="JOBS",
-        help="record the flight-recorder trace sweep serially, with JOBS "
-        "processes and under the reference heap queue, and fail unless "
-        "the merged canonical trace hashes are identical (does not "
-        "rerun the experiment registry)",
-    )
-    parser.add_argument(
-        "--cluster",
-        type=int,
-        metavar="JOBS",
-        help="run every cluster_* experiment serially and through the "
-        "parallel runner with JOBS processes and fail unless the merged "
-        "per-host shards hash identically (does not rerun the rest of "
-        "the registry)",
-    )
-    parser.add_argument(
-        "--feedback",
-        type=int,
-        metavar="JOBS",
-        help="run every feedback_*/tenant_* experiment serially and "
-        "through the parallel runner with JOBS processes and fail unless "
-        "the merged per-policy cells hash identically (does not rerun "
-        "the rest of the registry)",
-    )
-    parser.add_argument(
-        "--queue",
-        action="store_true",
-        help="rerun every selected experiment under the reference heap "
-        "event queue (REPRO_EVENT_QUEUE=heap) and fail unless its "
-        "metrics hash equals the calendar-queue run's",
-    )
-    parser.add_argument(
-        "--cache",
-        action="store_true",
-        help="run the selected experiments cold then warm against a "
-        "fresh temporary cache and fail unless the warm rerun hits "
-        "every unit and hashes identically to the cold run",
+        "--variants",
+        default="",
+        metavar="LIST",
+        help=f"comma-separated variants to check against the serial "
+        f"reference: {', '.join(VARIANTS)} (default: none)",
     )
     args = parser.parse_args(argv)
-    if not (
-        args.record
-        or args.check
-        or args.parallel
-        or args.streams
-        or args.blame
-        or args.trace
-        or args.cluster
-        or args.feedback
-        or args.queue
-        or args.cache
-    ):
-        parser.error(
-            "one of --record, --check, --parallel, --streams, --blame, "
-            "--trace, --cluster, --feedback, --queue or --cache is required"
-        )
+    names = (v.strip() for v in args.variants.split(","))
+    variants = list(dict.fromkeys(name for name in names if name))
+    unknown = sorted(set(variants) - set(VARIANTS))
+    if unknown:
+        parser.error(f"unknown variant(s) {', '.join(unknown)}; choose from {VARIANTS}")
+    if not (args.record or args.check or variants):
+        parser.error("one of --record, --check or --variants is required")
+    try:
+        if args.only:
+            subjects = select(p.strip() for p in args.only.split(",") if p.strip())
+        else:
+            subjects = registry.all_ids()
+    except KeyError as exc:
+        parser.error(exc.args[0])
 
-    if (
-        args.parallel
-        or args.streams
-        or args.blame
-        or args.trace
-        or args.cluster
-        or args.feedback
-    ):
-        # The cross-process gates must actually cross processes, even on
-        # hosts where the executor would collapse the pool to one CPU.
-        os.environ["REPRO_RUNNER_FORCE_POOL"] = "1"
-
-    run_registry = bool(args.record or args.check or args.parallel or args.queue)
-    if args.only:
-        ids = registry.expand_ids(
-            [i.strip() for i in args.only.split(",") if i.strip()]
-        )
-    else:
-        ids = registry.all_ids()
-    digests = {}
-    if run_registry:
-        for experiment_id in ids:
-            print(f"[determinism] running {experiment_id} ...", flush=True)
-            digests[experiment_id] = experiment_digest(experiment_id, seed=args.seed)
-            print(
-                f"[determinism]   {experiment_id}: "
-                f"{digests[experiment_id]['sha256'][:16]} "
-                f"({digests[experiment_id]['wall_s']}s)",
-                flush=True,
-            )
+    reference, baseline = {}, {}
+    for subject in subjects:
+        print(f"[determinism] running {subject} ...", flush=True)
+        started = time.perf_counter()
+        digest, rows = run_serial(subject, args.seed)
+        wall_s = round(time.perf_counter() - started, 2)
+        reference[subject] = digest
+        # A baseline stores one hash: the rows hash, or the plan digest's.
+        sha256 = digest.get(subject) or rows_hash(digest)
+        baseline[subject] = {"rows": rows, "sha256": sha256, "wall_s": wall_s}
+        for label, value in digest.items():
+            print(f"[determinism]   {label}: {value[:16]} ({wall_s}s)", flush=True)
 
     failures = []
-    if args.queue:
-        failures.extend(check_queue(ids, digests, seed=args.seed))
-    if args.parallel:
-        failures.extend(check_parallel(ids, digests, args.parallel, seed=args.seed))
-    if args.cache:
-        failures.extend(
-            check_cache(ids, digests, jobs=args.parallel or 1, seed=args.seed)
-        )
-    if args.streams:
-        failures.extend(check_streams(args.streams))
-    if args.blame:
-        failures.extend(check_blame(args.blame, seed=args.seed))
-    if args.trace:
-        failures.extend(check_trace(args.trace, seed=args.seed))
-    if args.cluster:
-        failures.extend(check_cluster(args.cluster, seed=args.seed))
-    if args.feedback:
-        failures.extend(check_feedback(args.feedback, seed=args.seed))
+    for variant in variants:
+        print(f"[determinism] {variant} rerun ...", flush=True)
+        with mock.patch.dict(os.environ, VARIANT_ENV.get(variant, {})):
+            digests, problems = run_variant(variant, subjects, args.jobs, args.seed)
+        failures.extend(problems)
+        for subject, digest in digests.items():
+            failures.extend(compare(subject, variant, reference[subject], digest))
 
     if args.record:
         with open(args.record, "w") as fh:
-            json.dump(digests, fh, indent=2, sort_keys=True)
+            json.dump(baseline, fh, indent=2, sort_keys=True)
         print(f"[determinism] baseline written to {args.record}")
     elif args.check:
         with open(args.check) as fh:
-            baseline = json.load(fh)
-        for experiment_id in ids:
-            if experiment_id not in baseline:
-                failures.append(f"{experiment_id}: not in baseline")
+            recorded = json.load(fh)
+        for subject in subjects:
+            if subject not in recorded:
+                failures.append(f"{subject} × baseline: not in baseline")
                 continue
-            want = baseline[experiment_id]["sha256"]
-            got = digests[experiment_id]["sha256"]
-            if want != got:
+            want = recorded[subject]["sha256"]
+            got = baseline[subject]["sha256"]
+            if got != want:
                 failures.append(
-                    f"{experiment_id}: hash {got[:16]} != baseline {want[:16]}"
+                    f"{subject} × baseline: {got[:16]} != baseline {want[:16]}"
                 )
 
     if failures:
@@ -659,42 +332,11 @@ def main(argv=None) -> int:
         for line in failures:
             print(f"  {line}")
         return 1
-    checks = []
-    if args.check:
-        checks.append("baseline")
-    if args.queue:
-        checks.append("queue-equivalence")
-    if args.parallel:
-        checks.append("serial-vs-parallel")
-    if args.cache:
-        checks.append("warm-cache")
-    if args.streams:
-        checks.append("streamed-aggregates")
-    if args.blame:
-        checks.append("blame-reports")
-    if args.trace:
-        checks.append("trace-hashes")
-    if args.cluster:
-        checks.append("cluster-shards")
-    if args.feedback:
-        checks.append("feedback-cells")
-    suffix = f" ({' + '.join(checks)})" if checks else ""
-    standalone = []
-    if args.streams:
-        standalone.append("telemetry streams")
-    if args.blame:
-        standalone.append("blame sweep")
-    if args.trace:
-        standalone.append("trace sweep")
-    if args.cluster:
-        standalone.append("cluster shards")
-    if args.feedback:
-        standalone.append("feedback cells")
-    if run_registry or args.cache:
-        subject = f"{len(ids)} experiments"
-    else:
-        subject = " + ".join(standalone)
-    print(f"[determinism] OK — {subject} byte-identical{suffix}")
+    checked = ["serial", *variants] + (["baseline"] if args.check else [])
+    print(
+        f"[determinism] OK — {len(subjects)} subject(s) byte-identical "
+        f"({' + '.join(checked)})"
+    )
     return 0
 
 

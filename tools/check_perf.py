@@ -3,7 +3,7 @@
 
 Runs the tier-1 test suite, the engine-throughput microbenchmark
 (fails when events/sec regresses more than ``--tolerance``, default
-10%, against the committed ``BENCH_engine.json``), the parallel-runner
+5%, against the committed ``BENCH_engine.json``), the parallel-runner
 overhead gate (fails when a two-job run of a fast experiment subset is
 slower than the serial run beyond ``--parallel-tolerance`` — the
 "jobs 2 is never slower than serial" contract), and the full-registry
@@ -16,30 +16,16 @@ contract that keeps the parallel critical path bounded by one shard):
     python tools/check_perf.py
     python tools/check_perf.py --skip-tests          # benchmarks only
     python tools/check_perf.py --skip-registry       # engine + parallel gates
-    python tools/check_perf.py --tolerance 0.2       # looser engine gate
+    python tools/check_perf.py --tolerance 0.1       # looser engine gate
     python tools/check_perf.py --repeat 3            # damp wall noise
 
-The engine record doubles as the telemetry-overhead gate: the benchmark
-subscribes nothing to the telemetry bus, so its throughput must also
-stay within ``--telemetry-tolerance`` (default 5%) of the baseline,
-bounding the cost of the instrumentation's zero-subscriber fast path.
-``--spans-tolerance`` (default 5%) gates the span/blame/profiler layer
-the same way: with no SpanBuilder attached and no profiler installed,
-the producers and hooks added for causal tracing must cost nothing.
-
-``--control-tolerance`` (default 5%) gates the control plane's
-zero-policy promise: a renegotiation-heavy experiment subset runs twice
-per round in the same session — once with ``REPRO_DIRECT_ACTUATION=1``
-(the pre-refactor direct-call shape, ``machine.control`` detached) and
-once through the actuation port with no observers — and the median
-ported/direct wall ratio over interleaved pairs must stay within the
-tolerance.  In-session A/B is what makes 5% measurable: committed
-baselines drift with machine load, paired passes don't.
-
-``--recorder-tolerance`` (default 5%) gates the flight recorder's
-detached path the same way: the engine benchmark runs with a
-``TraceRecorder`` attached to the bus and detached again before the
-timed section, so throughput measures the post-detach fast path.
+The engine gate doubles as the overhead gate for the instrumentation's
+disabled paths.  The benchmark subscribes nothing to the telemetry bus,
+attaches no SpanBuilder and installs no profiler, so its throughput
+bounds what telemetry, spans and profiling cost when nobody listens.
+It runs a second time with a ``TraceRecorder`` attached to the bus and
+detached again before the timed section, and that run must meet the
+same floor: a detached flight recorder costs nothing.
 
 Every fully-passing run (unless ``--no-history``) appends one JSON line
 to ``BENCH_history.jsonl`` — stamp, git sha, engine events/sec,
@@ -84,25 +70,28 @@ def run_tier1_tests() -> bool:
     return proc.returncode == 0
 
 
-def check_throughput(
-    tolerance: float,
-    repeat: int,
-    telemetry_tolerance: float = 0.0,
-    spans_tolerance: float = 0.0,
-    history: dict = None,
-) -> int:
-    """Engine gate, plus the telemetry- and spans-overhead gates.
+def _recorder_attach_detach(system) -> None:
+    """Attach a flight recorder to the bus and detach it again."""
+    from repro.telemetry.record import TraceRecorder
 
-    The benchmark never subscribes anything to the telemetry bus, so a
-    fresh run measures exactly the zero-subscriber fast path: every
-    hot-path emission site reduces to one cached boolean test.  With
-    *telemetry_tolerance* > 0 the same best-of-*repeat* record must also
-    stay within that (tighter) fraction of the committed baseline,
-    bounding what the instrumentation costs when nobody is listening.
-    *spans_tolerance* gates the span/blame/profiler additions the same
-    way: no SpanBuilder is attached and no profiler installed, so the
-    job-release producers and the profiler hook must stay free on the
-    disabled path.
+    recorder = TraceRecorder()
+    recorder.attach(system.machine.bus)
+    recorder.detach()
+    recorder.close()
+
+
+def check_throughput(tolerance: float, repeat: int, history: dict = None) -> int:
+    """Engine gate: best-of-*repeat* events/sec vs ``BENCH_engine.json``.
+
+    The benchmark runs in two shapes, and each one's best throughput
+    must stay within *tolerance* of the committed baseline:
+
+    - as built: nothing subscribes to the telemetry bus, no SpanBuilder
+      is attached and no profiler installed, so every hot-path emission
+      site, span producer and profiler hook sits on its disabled path;
+    - recorder-detached: a ``TraceRecorder`` is attached to the bus and
+      detached again before the timed run, so the bus must be back on
+      its cached zero-subscriber fast path.
     """
     if not os.path.exists(BASELINE):
         print(f"check_perf: no committed baseline at {BASELINE}")
@@ -113,93 +102,34 @@ def check_throughput(
 
     from benchmarks.bench_engine_throughput import run_benchmark
 
-    best = None
-    for _ in range(max(1, repeat)):
-        record = run_benchmark()
-        if best is None or record["events_per_sec"] > best["events_per_sec"]:
-            best = record
-
     reference = baseline["events_per_sec"]
-    fresh = best["events_per_sec"]
-    if history is not None:
-        history["events_per_sec"] = fresh
     floor = reference * (1.0 - tolerance)
-    verdict = "ok" if fresh >= floor else "REGRESSION"
-    print(
-        f"check_perf: {fresh:.1f} events/sec vs baseline {reference:.1f} "
-        f"(floor {floor:.1f}, tolerance {tolerance:.0%}): {verdict}"
-    )
-    failed = fresh < floor
-    if telemetry_tolerance > 0:
-        telemetry_floor = reference * (1.0 - telemetry_tolerance)
-        telemetry_verdict = "ok" if fresh >= telemetry_floor else "REGRESSION"
-        print(
-            f"check_perf: zero-subscriber telemetry gate: {fresh:.1f} vs "
-            f"floor {telemetry_floor:.1f} "
-            f"(tolerance {telemetry_tolerance:.0%}): {telemetry_verdict}"
+    failed = False
+    shapes = (("engine", None), ("recorder-detached", _recorder_attach_detach))
+    for shape, setup in shapes:
+        best = max(
+            (run_benchmark(setup=setup) for _ in range(max(1, repeat))),
+            key=lambda record: record["events_per_sec"],
         )
-        failed = failed or fresh < telemetry_floor
-    if spans_tolerance > 0:
-        spans_floor = reference * (1.0 - spans_tolerance)
-        spans_verdict = "ok" if fresh >= spans_floor else "REGRESSION"
+        fresh = best["events_per_sec"]
+        verdict = "ok" if fresh >= floor else "REGRESSION"
         print(
-            f"check_perf: spans-disabled overhead gate: {fresh:.1f} vs "
-            f"floor {spans_floor:.1f} "
-            f"(tolerance {spans_tolerance:.0%}): {spans_verdict}"
+            f"check_perf: {shape}: {fresh:.1f} events/sec vs baseline "
+            f"{reference:.1f} (floor {floor:.1f}, tolerance {tolerance:.0%}): "
+            f"{verdict}"
         )
-        failed = failed or fresh < spans_floor
-    if best.get("events") != baseline.get("events"):
-        # Not fatal by itself, but a changed event count means behaviour
-        # moved, so the events/sec comparison is no longer like-for-like.
-        print(
-            f"check_perf: note: event count changed "
-            f"({baseline.get('events')} -> {best.get('events')}); "
-            "re-record BENCH_engine.json if the change is intended"
-        )
+        failed = failed or fresh < floor
+        if setup is None and history is not None:
+            history["events_per_sec"] = fresh
+        if setup is None and best.get("events") != baseline.get("events"):
+            # Not fatal by itself, but a changed event count means behaviour
+            # moved, so the events/sec comparison is no longer like-for-like.
+            print(
+                f"check_perf: note: event count changed "
+                f"({baseline.get('events')} -> {best.get('events')}); "
+                "re-record BENCH_engine.json if the change is intended"
+            )
     return 2 if failed else 0
-
-
-def check_recorder_overhead(tolerance: float, repeat: int) -> int:
-    """Recorder-detached gate: a detached flight recorder costs nothing.
-
-    The flight recorder subscribes to every telemetry kind while
-    attached; once detached the bus must fall back to its cached
-    zero-subscriber fast path.  This gate runs the engine benchmark
-    with a :class:`~repro.telemetry.record.TraceRecorder` attached and
-    immediately detached before the timed run — so the hot path starts
-    from the post-detach bus state — and the best-of-*repeat*
-    throughput must stay within *tolerance* of the committed baseline,
-    the same floor discipline as the telemetry/spans gates.
-    """
-    if not os.path.exists(BASELINE):
-        print(f"check_perf: no committed baseline at {BASELINE}")
-        return 3
-    with open(BASELINE) as fh:
-        baseline = json.load(fh)
-
-    from benchmarks.bench_engine_throughput import run_benchmark
-    from repro.telemetry.record import TraceRecorder
-
-    def attach_detach(system) -> None:
-        recorder = TraceRecorder()
-        recorder.attach(system.machine.bus)
-        recorder.detach()
-        recorder.close()
-
-    best = None
-    for _ in range(max(1, repeat)):
-        record = run_benchmark(setup=attach_detach)
-        if best is None or record["events_per_sec"] > best["events_per_sec"]:
-            best = record
-    reference = baseline["events_per_sec"]
-    fresh = best["events_per_sec"]
-    floor = reference * (1.0 - tolerance)
-    verdict = "ok" if fresh >= floor else "REGRESSION"
-    print(
-        f"check_perf: recorder-detached gate: {fresh:.1f} events/sec vs "
-        f"floor {floor:.1f} (tolerance {tolerance:.0%}): {verdict}"
-    )
-    return 0 if fresh >= floor else 2
 
 
 #: Fast, fully sharded experiments for the parallel-overhead gate
@@ -237,62 +167,6 @@ def check_parallel_overhead(tolerance: float) -> int:
         f"(ceiling {ceiling:.2f}s, tolerance {tolerance:.0%}): {verdict}"
     )
     return 0 if parallel <= ceiling else 2
-
-
-#: Renegotiation-heavy, policy-free experiments for the port A/B gate:
-#: sporadic mode changes, periodic group renegotiation, hypercall faults.
-CONTROL_GATE_SUBSET = ("sporadic", "table1", "robustness_hypercall")
-
-
-def check_control_overhead(tolerance: float, repeat: int = 3) -> int:
-    """No-controller gate: the actuation port must cost ≤ *tolerance*.
-
-    Every bandwidth mutation now flows through the actuation port; with
-    no policy observing, ``submit()`` is one dict lookup plus the very
-    mechanism call the call site used to make directly.  This gate runs
-    a renegotiation-heavy experiment subset (smoke variants of
-    ``CONTROL_GATE_SUBSET``) twice per round — once with
-    ``REPRO_DIRECT_ACTUATION=1``, which leaves ``machine.control``
-    detached so every call site takes its pre-refactor direct-call
-    shape, and once through the port with no observers.  Comparing the
-    two shapes *in the same session*, interleaved back to back, is what
-    makes a 5% verdict meaningful on shared hardware: a committed
-    baseline drifts with machine load, but pair-local noise lands on
-    both shapes alike.  The gated statistic is the median of the
-    per-pair ported/direct wall ratios over *repeat* pairs.
-    """
-    import os as _os
-    import statistics
-    import time as _time
-
-    from repro.experiments import registry
-
-    def one_pass() -> float:
-        started = _time.perf_counter()
-        for experiment_id in CONTROL_GATE_SUBSET:
-            registry.run_smoke(experiment_id)
-        return _time.perf_counter() - started
-
-    def direct_pass() -> float:
-        _os.environ["REPRO_DIRECT_ACTUATION"] = "1"
-        try:
-            return one_pass()
-        finally:
-            del _os.environ["REPRO_DIRECT_ACTUATION"]
-
-    direct_pass()  # warm-up: steady-state cost is what the gate is about
-    one_pass()
-    pairs = [(direct_pass(), one_pass()) for _ in range(max(3, repeat))]
-    ratio = statistics.median(p / d for d, p in pairs)
-    direct = min(d for d, _ in pairs)
-    verdict = "ok" if ratio <= 1.0 + tolerance else "REGRESSION"
-    print(
-        f"check_perf: no-controller actuation gate: ported/direct median "
-        f"ratio {ratio:.3f} over {len(pairs)} pairs of "
-        f"{'+'.join(CONTROL_GATE_SUBSET)} smoke runs "
-        f"(direct best {direct:.2f}s, tolerance {tolerance:.0%}): {verdict}"
-    )
-    return 0 if ratio <= 1.0 + tolerance else 2
 
 
 def check_registry_wall(
@@ -403,8 +277,9 @@ def append_history(history: dict) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--tolerance", type=float, default=0.10,
-        help="allowed fractional events/sec regression (default 0.10)",
+        "--tolerance", type=float, default=0.05,
+        help="allowed fractional events/sec regression of the engine "
+        "benchmark, as built and recorder-detached (default 0.05)",
     )
     parser.add_argument(
         "--parallel-tolerance", type=float, default=0.25,
@@ -421,32 +296,8 @@ def main(argv=None) -> int:
         help="allowed fractional registry wall-time regression (default 0.15)",
     )
     parser.add_argument(
-        "--telemetry-tolerance", type=float, default=0.05,
-        help="allowed zero-subscriber telemetry overhead on engine "
-        "throughput (default 0.05; 0 disables the gate)",
-    )
-    parser.add_argument(
-        "--spans-tolerance", type=float, default=0.05,
-        help="allowed spans-disabled overhead on engine throughput — "
-        "no SpanBuilder attached, no profiler installed "
-        "(default 0.05; 0 disables the gate)",
-    )
-    parser.add_argument(
-        "--recorder-tolerance", type=float, default=0.05,
-        help="allowed recorder-detached overhead on engine throughput — "
-        "a flight recorder attached to the bus and detached again "
-        "before the timed run (default 0.05; 0 disables the gate)",
-    )
-    parser.add_argument(
         "--no-history", action="store_true",
         help="do not append this run to BENCH_history.jsonl",
-    )
-    parser.add_argument(
-        "--control-tolerance", type=float, default=0.05,
-        help="allowed no-controller overhead of the actuation-port path "
-        "vs the direct-call shape (REPRO_DIRECT_ACTUATION=1) on a "
-        "renegotiation-heavy experiment subset, compared in-session "
-        "(default 0.05; 0 disables the gate)",
     )
     parser.add_argument(
         "--repeat", type=int, default=3,
@@ -478,25 +329,11 @@ def main(argv=None) -> int:
         if not run_tier1_tests():
             print("check_perf: tier-1 tests failed")
             return 1
-    status = check_throughput(
-        args.tolerance,
-        args.repeat,
-        telemetry_tolerance=args.telemetry_tolerance,
-        spans_tolerance=args.spans_tolerance,
-        history=history,
-    )
+    status = check_throughput(args.tolerance, args.repeat, history=history)
     if status:
         return status
-    if args.recorder_tolerance > 0:
-        status = check_recorder_overhead(args.recorder_tolerance, args.repeat)
-        if status:
-            return status
     if not args.skip_parallel:
         status = check_parallel_overhead(args.parallel_tolerance)
-        if status:
-            return status
-    if args.control_tolerance > 0:
-        status = check_control_overhead(args.control_tolerance, args.repeat)
         if status:
             return status
     if not args.skip_registry:
