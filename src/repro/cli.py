@@ -44,8 +44,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--blame",
         action="store_true",
-        help="after each robustness_* experiment, rerun it with causal "
-        "spans attached and print the deadline-miss blame table",
+        help="after each robustness_* experiment, rerun it with the flight "
+        "recorder attached and print the deadline-miss blame table "
+        "derived from its traces",
     )
     run_all = sub.add_parser(
         "run-all",
@@ -199,8 +200,8 @@ def _build_parser() -> argparse.ArgumentParser:
     scenario.add_argument(
         "--telemetry",
         action="store_true",
-        help="attach streaming aggregators to the telemetry bus and "
-        "print miss-ratio / latency-tail / bandwidth summaries",
+        help="record the run and print the miss-ratio / latency-tail / "
+        "bandwidth summaries streamed from its trace",
     )
     scenario.add_argument(
         "--chrome-trace",
@@ -211,8 +212,8 @@ def _build_parser() -> argparse.ArgumentParser:
     scenario.add_argument(
         "--blame",
         action="store_true",
-        help="build causal job spans during the run and print the "
-        "deadline-miss blame table",
+        help="record the run, build causal job spans from its trace and "
+        "print the deadline-miss blame table",
     )
     scenario.add_argument(
         "--profile",
@@ -222,12 +223,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     explain = sub.add_parser(
         "explain",
-        help="attribute deadline misses to root causes via causal spans",
+        help="attribute deadline misses to root causes via causal spans "
+        "built from a recorded trace",
     )
     explain.add_argument(
         "target",
         help="a robustness_<fault> or feedback_*/tenant_* experiment id, "
-        "or a scenario JSON path",
+        "a scenario JSON path, or a recorded .rtvt trace",
     )
     explain.add_argument(
         "--job",
@@ -377,12 +379,16 @@ def _blame_family(
     duration_ns: Optional[int] = None,
     seed: int = 11,
 ):
-    """Run the blame sweep of one fault family through the plan executor."""
+    """Record one fault family's cells through the trace plan.
+
+    The returned :class:`~repro.telemetry.trace_plan.TraceBundle`
+    carries the blame derived from each cell's trace.
+    """
     from .runner.executor import execute_plan
     from .simcore.time import sec
-    from .telemetry.blame_plan import blame_plan
+    from .telemetry.trace_plan import trace_plan
 
-    plan = blame_plan(
+    plan = trace_plan(
         faults=(fault,),
         duration_ns=duration_ns if duration_ns is not None else sec(5),
         seed=seed,
@@ -619,24 +625,14 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
-    from .scenario import run_scenario_file
-
     holder = {}
 
     def attach(system) -> None:
         bus = system.machine.bus
-        if args.telemetry:
-            from .telemetry import StandardTelemetry
-
-            holder["telemetry"] = StandardTelemetry(bus)
         if args.chrome_trace:
             from .report.export import ChromeTraceExporter
 
             holder["exporter"] = ChromeTraceExporter().attach(bus)
-        if args.blame:
-            from .telemetry.spans import SpanBuilder
-
-            holder["spans"] = SpanBuilder().attach(system.machine)
         if args.profile:
             from .telemetry.profile import SimProfiler
 
@@ -644,11 +640,18 @@ def _cmd_scenario(args) -> int:
                 engine=system.engine, bus=bus
             )
 
-    wants_bus = args.telemetry or args.chrome_trace or args.blame or args.profile
-    result = run_scenario_file(args.path, attach=attach if wants_bus else None)
-    print(result.summary())
-    telemetry = holder.get("telemetry")
-    if telemetry is not None:
+    live = attach if args.chrome_trace or args.profile else None
+    if args.telemetry or args.blame:
+        from .telemetry.replay import derive_from_trace, record_scenario_file
+
+        recorded = record_scenario_file(args.path, attach=live)
+        print(recorded.summary)
+        spans, telemetry = derive_from_trace(recorded.reader())
+    else:
+        from .scenario import run_scenario_file
+
+        print(run_scenario_file(args.path, attach=live).summary())
+    if args.telemetry:
         misses = telemetry.misses
         print("telemetry (streamed):")
         print(
@@ -673,12 +676,10 @@ def _cmd_scenario(args) -> int:
     if exporter is not None:
         count = exporter.write(args.chrome_trace)
         print(f"chrome trace: {count} events -> {args.chrome_trace}")
-    spans = holder.get("spans")
-    if spans is not None:
+    if args.blame:
         from .report.ascii import render_blame_table
         from .telemetry.blame import analyze_spans
 
-        spans.finalize(result.duration_ns)
         report, _misses = analyze_spans(spans)
         print(render_blame_table(report.snapshot()))
     profiler = holder.get("profiler")
@@ -698,55 +699,83 @@ def _parse_job(spec: str):
     return task, int(index) if index else None
 
 
-def _print_timelines(builder, job_spec: str, limit: int) -> int:
+def _print_timelines(runs, job_spec: str, limit: int) -> int:
+    """Causal timelines of one job in ``(label, spans)`` runs.
+
+    A merged trace has one run per section; each run with matching
+    spans is headed by its label.
+    """
     from .report.ascii import render_span_timeline
     from .telemetry.blame import attribute_miss
 
     task, index = _parse_job(job_spec)
-    spans = builder.spans_for(task)
-    if index is not None:
-        spans = [s for s in spans if s.job == index]
-    elif any(s.missed for s in spans):
-        spans = [s for s in spans if s.missed][:limit]
-    else:
-        spans = spans[:limit]
-    if not spans:
+    found = False
+    for label, builder in runs:
+        spans = builder.spans_for(task)
+        if index is not None:
+            spans = [s for s in spans if s.job == index]
+        elif any(s.missed for s in spans):
+            spans = [s for s in spans if s.missed][:limit]
+        else:
+            spans = spans[:limit]
+        if not spans:
+            continue
+        found = True
+        if label is not None:
+            print(f"=== {label}")
+        for span in spans:
+            lost = attribute_miss(span, builder) if span.missed else None
+            print(render_span_timeline(span, lost))
+            print()
+    if not found:
         print(f"no spans for {job_spec!r}", file=sys.stderr)
         return 2
-    for span in spans:
-        lost = attribute_miss(span, builder) if span.missed else None
-        print(render_span_timeline(span, lost))
-        print()
     return 0
 
 
-def _explain_scenario(args) -> int:
-    from .report.ascii import render_blame_table
-    from .scenario import run_scenario_file
-    from .telemetry.blame import analyze_spans
-    from .telemetry.spans import SpanBuilder
-
-    holder = {}
-
-    def attach(system) -> None:
-        holder["spans"] = SpanBuilder().attach(system.machine)
-
-    result = run_scenario_file(args.target, attach=attach)
-    builder = holder["spans"].finalize(result.duration_ns)
-    report, misses = analyze_spans(builder)
-    print(result.summary())
-    print(render_blame_table(report.snapshot()))
-    if args.job:
-        print()
-        return _print_timelines(builder, args.job, args.misses)
-    worst = sorted(misses, key=lambda m: -m["lateness_ns"])[: args.misses]
-    if worst:
-        print("worst misses:")
+def _print_worst(cells, limit: int) -> None:
+    """The worst misses of each ``(title, misses)`` cell, latest first."""
+    for title, misses in cells:
+        worst = sorted(misses, key=lambda m: -m["lateness_ns"])[:limit]
+        if not worst:
+            continue
+        print(title)
         for m in worst:
+            state = " (unfinished)" if m["incomplete"] else ""
             print(
                 f"  {m['task']}#{m['job']} +{m['lateness_ns'] / 1e6:.3f}ms "
-                f"primary={m['primary']}"
+                f"primary={m['primary']}{state}"
             )
+
+
+def _explain_recorded(reader, args) -> int:
+    """Blame table, then --job timelines or the worst misses, of a trace.
+
+    A merged trace is derived section by section (task names repeat
+    across its parts) and the per-section reports are merged.
+    """
+    from .report.ascii import render_blame_table
+    from .telemetry.blame import BlameReport, analyze_spans
+    from .telemetry.replay import derive_from_trace
+
+    if reader.sections:
+        runs = [
+            (section["label"], derive_from_trace(reader, index)[0])
+            for index, section in enumerate(reader.sections)
+        ]
+    else:
+        runs = [(None, derive_from_trace(reader)[0])]
+    reports, cells = [], []
+    for label, spans in runs:
+        report, misses = analyze_spans(spans)
+        reports.append(report.snapshot())
+        title = "worst misses:" if label is None else f"\nworst misses — {label}:"
+        cells.append((title, misses))
+    print(render_blame_table(BlameReport.merge(reports).snapshot()))
+    if args.job:
+        print()
+        return _print_timelines(runs, args.job, args.misses)
+    _print_worst(cells, args.misses)
     return 0
 
 
@@ -782,10 +811,7 @@ def _is_trace(path: str) -> bool:
 
 def _explain_trace(args) -> int:
     """Offline blame: rebuild causal spans from a recorded trace."""
-    from .report.ascii import render_blame_table
-    from .telemetry.blame import analyze_spans
     from .telemetry.record import TraceReader
-    from .telemetry.replay import spans_from_trace
 
     reader = TraceReader(args.target)
     header = reader.header
@@ -795,28 +821,18 @@ def _explain_trace(args) -> int:
         f"{header.get('scheduler', '?')}, {reader.event_count} events, "
         f"hash {reader.trace_hash[:16]}\n"
     )
-    builder = spans_from_trace(reader)
-    report, misses = analyze_spans(builder)
-    print(render_blame_table(report.snapshot()))
-    if args.job:
-        print()
-        return _print_timelines(builder, args.job, args.misses)
-    worst = sorted(misses, key=lambda m: -m["lateness_ns"])[: args.misses]
-    if worst:
-        print("worst misses:")
-        for m in worst:
-            print(
-                f"  {m['task']}#{m['job']} +{m['lateness_ns'] / 1e6:.3f}ms "
-                f"primary={m['primary']}"
-            )
-    return 0
+    return _explain_recorded(reader, args)
 
 
 def _cmd_explain(args) -> int:
     if _is_trace(args.target):
         return _explain_trace(args)
     if args.target.endswith(".json"):
-        return _explain_scenario(args)
+        from .telemetry.replay import record_scenario_file
+
+        recorded = record_scenario_file(args.target)
+        print(recorded.summary)
+        return _explain_recorded(recorded.reader(), args)
     from .experiments.feedback_adaptive import FEEDBACK_CELLS
 
     if args.target in FEEDBACK_CELLS:
@@ -840,44 +856,32 @@ def _cmd_explain(args) -> int:
         return 2
     duration_ns = sec(args.duration_s)
     if args.job:
-        from .experiments.robustness import run_robustness_case
-        from .telemetry.spans import SpanBuilder
+        from .telemetry.replay import derive_from_trace, record_robustness_case
 
-        holder = {}
-
-        def attach(system) -> None:
-            holder["spans"] = SpanBuilder().attach(system.machine)
-
-        run_robustness_case(
+        recorded = record_robustness_case(
             fault,
             args.scheduler,
             duration_ns,
             args.seed,
             check_invariants=False,
-            attach=attach,
         )
-        builder = holder["spans"].finalize()
+        spans, _telemetry = derive_from_trace(recorded.reader())
         print(
             f"robustness_{fault} under {args.scheduler} "
             f"({args.duration_s:g}s, seed {args.seed}):\n"
         )
-        return _print_timelines(builder, args.job, args.misses)
-    sweep = _blame_family(
+        return _print_timelines([(None, spans)], args.job, args.misses)
+    bundle = _blame_family(
         fault, jobs=args.jobs, duration_ns=duration_ns, seed=args.seed
     )
-    print(sweep.summary())
-    for part in sweep.parts:
-        worst = sorted(part["misses"], key=lambda m: -m["lateness_ns"])
-        worst = worst[: args.misses]
-        if not worst:
-            continue
-        print(f"\nworst misses — {part['scheduler']}:")
-        for m in worst:
-            state = " (unfinished)" if m["incomplete"] else ""
-            print(
-                f"  {m['task']}#{m['job']} +{m['lateness_ns'] / 1e6:.3f}ms "
-                f"primary={m['primary']}{state}"
-            )
+    print(bundle.summary())
+    _print_worst(
+        [
+            (f"\nworst misses — {part['scheduler']}:", part["blame"]["misses"])
+            for part in bundle.parts
+        ],
+        args.misses,
+    )
     return 0
 
 

@@ -154,7 +154,7 @@ def execute_plan(
     """Run one plan's units (uncached) and assemble its result.
 
     The generic entry point for plans that live outside the experiment
-    registry (e.g. the telemetry probe): units fan out exactly like
+    registry (the trace sweep): units fan out exactly like
     registry experiments, and assembly consumes parts in canonical unit
     order, so the result is independent of scheduling.
     """

@@ -14,8 +14,7 @@ Two shapes of plan exist:
   worker to a plain ``{"rows", "summary"}`` payload (the rich result
   objects of monolithic experiments are not all picklable; their rows
   and summary always are, because the determinism harness JSON-encodes
-  them).  Registry ids without a direct entry fall back to
-  :func:`run_whole`, which dispatches through the registry.
+  them).
 - **Sharded** plans split an experiment along its independent axes
   (per group × framework, per scheduler, per scenario).  Each shard
   returns a small picklable part (``GroupRun``, ``SchedulerOutcome``,
@@ -108,20 +107,6 @@ def execute_unit(unit: WorkUnit) -> Any:
     if unit.payload:
         return {"rows": part.rows(), "summary": part.summary()}
     return part
-
-
-def run_whole(experiment_id: str) -> Dict[str, Any]:
-    """Worker body for monolithic experiments: run and strip to a payload.
-
-    Only the fallback path for registry ids without an entry in
-    ``_WHOLE_FNS`` uses this: its import closure (via the registry)
-    spans every experiment, so such units inherit the broadest possible
-    cache salt.  Known monolithic experiments point their unit ``fn``
-    straight at the experiment module instead, which keeps their cache
-    entries valid when an unrelated experiment changes.
-    """
-    result = registry.run(experiment_id)
-    return {"rows": result.rows(), "summary": result.summary()}
 
 
 # -- assembly functions (run in the parent, must be module-level) ---------------------
@@ -256,11 +241,11 @@ def ordered_by_cost(
 # -- plan construction ----------------------------------------------------------------
 
 
-#: Direct worker entry points for monolithic experiments, mirroring the
+#: Worker entry points for monolithic experiments, mirroring the
 #: registry's full-length runners (same callables, same parameters).
-#: Pointing the unit ``fn`` at the experiment module — instead of the
-#: registry-dispatching :func:`run_whole` — gives these units the narrow
-#: import-closure cache salt of their own harness.
+#: Pointing the unit ``fn`` at the experiment module, not at the
+#: registry, gives these units the narrow import-closure cache salt of
+#: their own harness.
 _WHOLE_FNS: Dict[str, Tuple[str, Tuple[Tuple[str, Any], ...]]] = {
     "fig1": (
         "repro.experiments.fig1_motivation:run_fig1_combined",
@@ -272,20 +257,13 @@ _WHOLE_FNS: Dict[str, Tuple[str, Tuple[Tuple[str, Any], ...]]] = {
 
 
 def _whole_plan(experiment_id: str) -> ExperimentPlan:
-    direct = _WHOLE_FNS.get(experiment_id)
-    if direct is not None:
-        fn, kwargs = direct
-        payload = True  # strip the rich result to rows/summary in the worker
-    else:  # pragma: no cover - safety net for future registry entries
-        fn = "repro.runner.workunits:run_whole"
-        kwargs = (("experiment_id", experiment_id),)
-        payload = False  # run_whole already returns the payload dict
+    fn, kwargs = _WHOLE_FNS[experiment_id]
     unit = WorkUnit(
         experiment_id=experiment_id,
         unit_id=f"{experiment_id}/whole",
         fn=fn,
         kwargs=kwargs,
-        payload=payload,
+        payload=True,  # strip the rich result to rows/summary in the worker
     )
     return ExperimentPlan(experiment_id, (unit,), _assemble_payload)
 
@@ -507,7 +485,11 @@ def plan_for(experiment_id: str, seed: Optional[int] = None) -> ExperimentPlan:
     if experiment_id.startswith("feedback_") or experiment_id.startswith("tenant_"):
         return _feedback_plan(experiment_id, seed)
     builder = _SHARDED_PLANS.get(experiment_id)
-    return builder() if builder else _whole_plan(experiment_id)
+    if builder is not None:
+        return builder()
+    if experiment_id not in _WHOLE_FNS:
+        raise KeyError(f"no work-unit plan for experiment id {experiment_id!r}")
+    return _whole_plan(experiment_id)
 
 
 def build_plans(

@@ -6,10 +6,10 @@ recorder (durable traces + divergence diff; what-if replay lives in
 The package is intentionally leaf-like: :mod:`repro.simcore` and
 :mod:`repro.host` import it (every :class:`~repro.host.machine.Machine`
 owns a :class:`TelemetryBus`), so nothing here may import scheduler or
-experiment modules.  The probe and blame work units live in
-:mod:`repro.telemetry.probe` / :mod:`repro.telemetry.blame` — their
-plan halves pull in the scenario and runner layers lazily for exactly
-that reason (the blame *analysis* classes re-exported here are pure).
+experiment modules.  The trace sweep (:mod:`repro.telemetry.trace_plan`)
+and replay/offline derivation (:mod:`repro.telemetry.replay`) pull in the
+scenario and runner layers lazily for exactly that reason, and stay
+unexported (the blame *analysis* classes re-exported here are pure).
 """
 
 from . import events

@@ -19,8 +19,8 @@ Every aggregator produces a JSON-able ``snapshot()`` and a classmethod
 ``merge(snapshots)`` such that merging per-shard snapshots in canonical
 unit order reproduces the single-stream result — in exact mode the
 reproduction is byte-identical (sorted multisets merge associatively),
-which is what the ``plan:probe`` subject of
-``tools/check_determinism.py`` gates on.
+which is what the per-scheduler stream hashes of the ``plan:trace``
+subject of ``tools/check_determinism.py`` gate on.
 Reservoir mode trades that for O(capacity) memory: merges stay
 deterministic (seeded LCG, no global RNG) but resample, so exact mode
 is the default wherever the registry's byte-identity matters.

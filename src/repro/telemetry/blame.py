@@ -33,12 +33,15 @@ what the miss costs.  Each slice is then classified:
 
 Reports are **mergeable**: :meth:`BlameReport.merge` over shard
 snapshots in canonical unit order is byte-identical to a single-stream
-run — the same contract PR 4's aggregators honour, gated by
-the ``plan:blame`` subject of ``tools/check_determinism.py``.
+run — the same contract the streaming aggregators honour, gated by
+the blame hashes of the ``plan:trace`` subject of
+``tools/check_determinism.py``.
 
-This module is the *pure* half: it depends only on spans.  The sharded
-sweep that fans robustness cells out over the runner lives in
-:mod:`repro.telemetry.blame_plan`, kept separate (and unexported from
+This module is the *pure* half: it depends only on spans.  The spans
+themselves are built offline from recorded traces
+(:func:`repro.telemetry.replay.derive_from_trace`); the sweep that fans
+robustness cells out over the runner is
+:mod:`repro.telemetry.trace_plan`, kept separate (and unexported from
 the package ``__init__``) so the core simulator's telemetry imports
 never reach the scenario/runner layers.
 """

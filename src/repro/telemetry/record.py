@@ -22,7 +22,9 @@ Format ``RTVT`` version 1::
              intern table and the delta-time base (merge boundary)
       0x00   end of body
     trailer  compact JSON {events, counts, hash, strings, checkpoints,
-             sections, meta} + 8-byte LE length + b"RTVT"
+             sections, meta} + 8-byte LE length + b"RTVT"; each
+             sections entry is {label, offset, events, hash, header},
+             the header being the merged part's own
 
 Field codecs are derived from the event ``NamedTuple`` annotations:
 ``int`` is a zigzag varint, ``str`` an interned id, ``Optional[str]`` a
@@ -331,6 +333,7 @@ class TraceWriter:
                 "offset": offset,
                 "events": reader.event_count,
                 "hash": reader.trace_hash,
+                "header": reader.header,
             }
         )
         # section state resets for any subsequent direct writes
@@ -482,16 +485,22 @@ class TraceReader:
         self,
         kinds: Optional[Iterable[str]] = None,
         start_time: Optional[int] = None,
+        section: Optional[int] = None,
     ) -> Iterator[Tuple[str, tuple]]:
         """Yield ``(kind, event)`` in recorded order.
 
         *kinds* filters to a subset of routing keys; *start_time* skips
         ahead using the trailer checkpoints (single-section traces) so a
         late window does not pay for decoding the whole prefix.
+        *section* (an index into :attr:`sections`) yields only that
+        merged part's events; by default iteration runs straight across
+        section boundaries.
         """
         wanted = set(kinds) if kinds is not None else None
         data = self._data
         pos = self._body_start
+        if section is not None:
+            pos += self.sections[section]["offset"]
         table: List[str] = []
         prev_time = 0
         if start_time is not None and self.checkpoints and self.strings is not None:
@@ -547,6 +556,8 @@ class TraceReader:
                 if wanted is None or kind in wanted:
                     yield kind, cls._make(fields)
             elif tag == _TAG_SECTION:
+                if section is not None:
+                    return  # the next part starts here
                 length, pos = _read_uvarint(data, pos)
                 pos += length
                 table = []

@@ -24,7 +24,7 @@ rejections) free to differ under what-if schedulers.  Known limit: a
 same-instant collision between a fault child and a later fault root can
 order differently than the original; no shipped timeline produces one.
 
-Like :mod:`repro.telemetry.blame_plan`, this module deliberately lives
+Like :mod:`repro.telemetry.trace_plan`, this module deliberately lives
 outside ``repro.telemetry``'s public namespace and imports the
 experiment layers lazily, so the telemetry package's import closure (and
 every cached unit salt hanging off it) stays small.
@@ -62,6 +62,8 @@ class RecordedRun:
     rows: List[Dict[str, object]]
     path: Optional[str] = None
     data: Optional[bytes] = field(default=None, repr=False)
+    #: the run's own summary text (scenario runs; empty for robustness)
+    summary: str = ""
 
     def reader(self) -> TraceReader:
         return TraceReader(self.path if self.path else self.data)
@@ -283,8 +285,13 @@ def record_robustness_case(
     seed: int,
     path: Optional[str] = None,
     check_invariants: bool = True,
+    attach=None,
 ) -> RecordedRun:
-    """Run one robustness cell with a flight recorder attached."""
+    """Run one robustness cell with a flight recorder attached.
+
+    *attach*, when given, is called with the system after the recorder
+    subscribes — the hook for consumers that must observe the run live.
+    """
     from ..experiments.robustness import run_robustness_case
 
     holder: Dict[str, TraceRecorder] = {}
@@ -301,6 +308,8 @@ def record_robustness_case(
             "migration_ns": system.machine.costs.migration_ns,
         }
         holder["recorder"] = TraceRecorder(path, header).attach(system.machine.bus)
+        if attach is not None:
+            attach(system)
 
     row = run_robustness_case(
         fault,
@@ -315,9 +324,16 @@ def record_robustness_case(
 
 
 def record_scenario(
-    spec: Dict[str, Any], path: Optional[str] = None, name: str = "scenario"
+    spec: Dict[str, Any],
+    path: Optional[str] = None,
+    name: str = "scenario",
+    attach=None,
 ) -> RecordedRun:
-    """Run a declarative scenario with a flight recorder attached."""
+    """Run a declarative scenario with a flight recorder attached.
+
+    *attach* is called with the system after the recorder subscribes,
+    as in :func:`record_robustness_case`.
+    """
     from ..scenario import run_scenario
     from ..simcore.time import sec
 
@@ -335,17 +351,21 @@ def record_scenario(
             "migration_ns": system.machine.costs.migration_ns,
         }
         holder["recorder"] = TraceRecorder(path, header).attach(system.machine.bus)
+        if attach is not None:
+            attach(system)
 
     result = run_scenario(spec, name=name, attach=hook)
     rows = result.rows()
     data = holder["recorder"].close(meta={"rows": rows})
-    return RecordedRun(rows=rows, path=path, data=data)
+    return RecordedRun(rows=rows, path=path, data=data, summary=result.summary())
 
 
-def record_scenario_file(path_in: str, path_out: Optional[str] = None) -> RecordedRun:
+def record_scenario_file(
+    path_in: str, path_out: Optional[str] = None, attach=None
+) -> RecordedRun:
     with open(path_in) as handle:
         spec = json.load(handle)
-    return record_scenario(spec, path=path_out, name=path_in)
+    return record_scenario(spec, path=path_out, name=path_in, attach=attach)
 
 
 # -- replay ---------------------------------------------------------------------------
@@ -500,26 +520,39 @@ def _replay_scenario(reader, scheduler, record_path, record, attach) -> ReplayRe
     )
 
 
-# -- offline span assembly ------------------------------------------------------------
+# -- offline derivation ---------------------------------------------------------------
 
 
-def spans_from_trace(reader: TraceReader):
-    """Pump a recorded trace through a private bus into a SpanBuilder.
+def derive_from_trace(reader: TraceReader, section: Optional[int] = None):
+    """Pump one recorded run through a private bus, once.
 
-    Returns the finalized builder — the offline backend of
-    ``repro explain <trace>``.
+    The bus feeds a :class:`~repro.telemetry.spans.SpanBuilder`
+    (finalized at the recorded ``duration_ns``) and a
+    :class:`~repro.telemetry.aggregate.StandardTelemetry`; returns
+    ``(spans, telemetry)``.  This is the one producer of offline blame
+    and stream snapshots: the trace plan, ``repro explain`` and
+    ``repro scenario --blame/--telemetry`` all derive from it.
+
+    *section* selects one part of a merged trace; its recorded header
+    (``migration_ns``, ``duration_ns``) lives in the trailer's section
+    entry.  Merged files written before section entries carried a header
+    fall back to the file header and the part's last event time.
     """
+    from .aggregate import StandardTelemetry
     from .bus import TelemetryBus
     from .spans import SpanBuilder
 
+    header = reader.header
+    if section is not None:
+        header = reader.sections[section].get("header", header)
     bus = TelemetryBus()
-    builder = SpanBuilder(migration_ns=reader.header.get("migration_ns"))
-    builder.attach_bus(bus)
+    spans = SpanBuilder(migration_ns=header.get("migration_ns"))
+    spans.attach_bus(bus)
+    telemetry = StandardTelemetry(bus)
     publish = bus.publish
     last_time = 0
-    for kind, event in reader.events():
+    for kind, event in reader.events(section=section):
         publish(kind, event)
         last_time = event.time
-    end = reader.header.get("duration_ns", last_time)
-    builder.finalize(end_time=end)
-    return builder
+    spans.finalize(end_time=header.get("duration_ns", last_time))
+    return spans, telemetry

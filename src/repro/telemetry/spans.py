@@ -36,6 +36,7 @@ fast path), and an attached one pays only event fan-out.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from functools import partial
 from typing import Dict, List, Optional, Tuple
@@ -71,6 +72,16 @@ def clip_intervals(intervals: List[Interval], lo: int, hi: int) -> List[Interval
         if end > start:
             out.append((start, end))
     return merge_intervals(out)
+
+
+def overlapping(intervals: List[Interval], lo: int, hi: int) -> List[Interval]:
+    """The slice of sorted, disjoint *intervals* that can meet ``[lo, hi)``.
+
+    Bisects instead of scanning, so tiling every span of a long run does
+    not rescan its carrier's whole timeline per gap.
+    """
+    first = max(bisect_left(intervals, (lo,)) - 1, 0)
+    return intervals[first : bisect_left(intervals, (hi,), first)]
 
 
 def subtract_intervals(base: List[Interval], cut: List[Interval]) -> List[Interval]:
@@ -478,13 +489,15 @@ class SpanBuilder:
             return [(lo, hi, "wait", None, None)]
         gap = [(lo, hi)]
         out: List[Tuple[int, int, str, Optional[str], Optional[int]]] = []
-        migrating = clip_intervals(self._migrations.get(carrier, []), lo, hi)
+        # finalize() merged both timelines: sorted and disjoint
+        migrations = overlapping(self._migrations.get(carrier, []), lo, hi)
+        migrating = clip_intervals(migrations, lo, hi)
         for start, end in migrating:
             out.append((start, end, "migrating", carrier, None))
         rest = subtract_intervals(gap, migrating)
         oncpu = self._oncpu.get(carrier, [])
         for start, end in rest:
-            queued = clip_intervals(oncpu, start, end)
+            queued = clip_intervals(overlapping(oncpu, start, end), start, end)
             for q_start, q_end in queued:
                 out.append((q_start, q_end, "wait", carrier, None))
             for p_start, p_end in subtract_intervals([(start, end)], queued):

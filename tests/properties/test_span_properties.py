@@ -24,9 +24,11 @@ from repro.telemetry.blame import attribute_miss
 from repro.telemetry.spans import (
     clip_intervals,
     merge_intervals,
+    overlapping,
     subtract_intervals,
     total,
 )
+from tests.telemetry.test_spans import _probe_spec
 
 intervals = st.lists(
     st.tuples(
@@ -58,6 +60,13 @@ class TestIntervalAlgebra:
             # Every instant of [lo, hi) lands in exactly one side.
             assert total(inside) + total(outside) == hi - lo
             inside_total += total(inside)
+
+    @given(intervals, st.integers(0, 500), st.integers(0, 500))
+    def test_overlapping_slice_clips_like_the_whole_timeline(self, raw, a, b):
+        timeline = merge_intervals(raw)
+        lo, hi = min(a, b), max(a, b)
+        window = overlapping(timeline, lo, hi)
+        assert clip_intervals(window, lo, hi) == clip_intervals(timeline, lo, hi)
 
     @given(intervals, intervals)
     def test_subtract_is_disjoint_from_cut(self, raw, cut_raw):
@@ -149,7 +158,6 @@ class TestFullSystemRuns:
     @pytest.mark.parametrize("system", ["rtvirt", "rtxen", "credit"])
     def test_invariants_hold_for_every_system_type(self, system):
         from repro.scenario import run_scenario
-        from repro.telemetry.probe import _probe_spec
 
         holder = {}
 

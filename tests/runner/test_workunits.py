@@ -20,6 +20,11 @@ class TestPlanShape:
             assert plan.experiment_id == experiment_id
             assert plan.units
 
+    def test_registry_entry_without_a_plan_raises(self, monkeypatch):
+        monkeypatch.setitem(registry.REGISTRY, "no_plan", registry.REGISTRY["table2"])
+        with pytest.raises(KeyError, match="no work-unit plan"):
+            plan_for("no_plan")
+
     def test_unit_ids_are_globally_unique(self):
         seen = set()
         for plan in build_plans():

@@ -10,7 +10,7 @@ from repro.telemetry.blame import (
     attribute_miss,
     primary_cause,
 )
-from repro.telemetry.blame_plan import blame_plan
+from repro.telemetry.trace_plan import trace_plan
 
 
 def canonical(snapshot) -> str:
@@ -161,35 +161,48 @@ class TestBlameReport:
 
 
 class TestBlamePlan:
+    """Blame of the trace plan, derived in the parent from each cell's trace."""
+
     def test_plan_units_are_canonical(self):
-        plan = blame_plan(faults=("pcpu_fail",), duration_ns=1, seed=3)
-        assert plan.experiment_id == "blame_sweep"
+        plan = trace_plan(faults=("pcpu_fail",), duration_ns=1, seed=3)
+        assert plan.experiment_id == "trace_sweep"
         assert [u.unit_id for u in plan.units] == [
-            "blame_sweep/pcpu_fail/RTVirt",
-            "blame_sweep/pcpu_fail/RT-Xen",
-            "blame_sweep/pcpu_fail/Credit",
+            "trace_sweep/pcpu_fail/RTVirt",
+            "trace_sweep/pcpu_fail/RT-Xen",
+            "trace_sweep/pcpu_fail/Credit",
         ]
         for unit in plan.units:
-            assert unit.fn == "repro.telemetry.blame_plan:run_blame_shard"
+            assert unit.fn == "repro.telemetry.trace_plan:record_trace_shard"
             assert dict(unit.kwargs)["seed"] == 3
 
     def test_sharded_sweep_runs_and_explains(self):
         from repro.runner.executor import execute_plan
         from repro.simcore.time import sec
 
-        plan = blame_plan(
+        plan = trace_plan(
             faults=("pcpu_fail",),
             schedulers=("RT-Xen",),
             duration_ns=sec(1),
             seed=11,
         )
-        sweep = execute_plan(plan, jobs=1)
-        (part,) = sweep.parts
-        blame = part["blame"]
+        bundle = execute_plan(plan, jobs=1)
+        (part,) = bundle.parts
+        cell = part["blame"]
+        assert sorted(cell) == [
+            "blame", "fault", "missed", "misses", "released", "scheduler"
+        ]
+        assert (cell["released"], cell["missed"]) == (
+            part["row"]["released"],
+            part["row"]["missed"],
+        )
+        blame = cell["blame"]
         assert blame["observed"] > 0, "pcpu_fail under RT-Xen must miss"
         assert blame["explained"] == blame["observed"]
-        for miss in part["misses"]:
+        for miss in cell["misses"]:
             assert miss["primary"] in CAUSES
             assert sum(miss["lost_ns"].values()) == miss["lateness_ns"]
-        (row,) = sweep.rows()
+        (row,) = bundle.rows()
         assert row["top_cause"] in CAUSES
+        assert canonical(bundle.blame.snapshot()) == canonical(blame)
+        assert bundle.streams == {"RT-Xen": part["streams"]}
+        assert "blame sweep (spans + root-cause attribution):" in bundle.summary()

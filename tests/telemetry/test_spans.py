@@ -12,6 +12,39 @@ from repro.telemetry.spans import (
 )
 
 
+def _probe_spec(system: str, seed: int, duration_s: float) -> dict:
+    """One fixed mixed workload: two RT VMs, a sporadic RTA, background."""
+    return {
+        "system": {"type": system, "pcpus": 2},
+        "duration_s": duration_s,
+        "seed": seed,
+        "vms": [
+            {
+                "name": "vm1",
+                "tasks": [
+                    {"name": "rta1", "slice_ms": 8, "period_ms": 20},
+                    {"name": "rta2", "slice_ms": 5, "period_ms": 10},
+                ],
+            },
+            {
+                "name": "vm2",
+                "tasks": [
+                    {"name": "rta3", "slice_ms": 10, "period_ms": 25},
+                    {
+                        "name": "sp1",
+                        "slice_ms": 2,
+                        "period_ms": 50,
+                        "kind": "sporadic",
+                        "min_interarrival_ms": 50,
+                        "max_interarrival_ms": 200,
+                    },
+                ],
+            },
+            {"name": "bg", "background": True},
+        ],
+    }
+
+
 class _Costs:
     def __init__(self, migration_ns=0):
         self.migration_ns = migration_ns
@@ -211,7 +244,6 @@ class TestSpanBuilder:
 class TestSystemIntegration:
     def test_real_run_produces_exact_spans(self):
         from repro.scenario import run_scenario
-        from repro.telemetry.probe import _probe_spec
 
         holder = {}
 

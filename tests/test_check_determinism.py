@@ -1,7 +1,7 @@
 """The determinism oracle (``tools/check_determinism.py``), run in-process.
 
 Only cheap subjects are used: ``table2`` and ``fig3`` are analytic,
-and the three plans simulate a few short cells each.
+and ``plan:trace`` simulates six one-second cells.
 """
 
 import importlib.util
@@ -47,6 +47,8 @@ def test_cheap_subjects_pass_every_variant(capsys):
     assert status == 0, out
     assert "plan:trace/merged: pool 2305d3c25d0de8db" in out
     assert "plan:trace/merged: heap 2305d3c25d0de8db" in out
+    # blame derived from the traces equals the old live-span sweep's cell
+    assert "plan:trace/blame/pcpu_fail/RT-Xen: pool 8df284ced478ae7f" in out
     assert "table2: cache ba7608c8951c53e5" in out
     assert "3 subject(s) byte-identical (serial + pool + heap + cache)" in out
 
@@ -68,29 +70,29 @@ def test_old_format_baseline_checks(tmp_path, capsys):
 
 def test_record_then_check_round_trips_plans(tmp_path):
     path = tmp_path / "baseline.json"
-    assert run_tool("--record", str(path), "--only", "fig3,plan:probe") == 0
+    assert run_tool("--record", str(path), "--only", "fig3,plan:trace") == 0
     recorded = json.loads(path.read_text())
-    assert sorted(recorded) == ["fig3", "plan:probe"]
+    assert sorted(recorded) == ["fig3", "plan:trace"]
     assert recorded["fig3"]["sha256"] == OLD_FORMAT_BASELINE["fig3"]["sha256"]
-    assert recorded["plan:probe"]["rows"] == 6  # three systems, two seeds
-    assert run_tool("--check", str(path), "--only", "fig3,plan:probe") == 0
+    assert recorded["plan:trace"]["rows"] == 6  # two faults, three schedulers
+    assert run_tool("--check", str(path), "--only", "fig3,plan:trace") == 0
 
 
 def test_divergent_variant_fails_naming_subject_and_variant(monkeypatch, capsys):
     monkeypatch.delenv("REPRO_EVENT_QUEUE", raising=False)
-    build, project = check_determinism.PLANS["plan:probe"]
+    build, project = check_determinism.PLANS["plan:trace"]
 
     def queue_sensitive(result):
         digest = project(result)
-        digest["plan:probe/queue"] = os.environ.get("REPRO_EVENT_QUEUE", "calendar")
+        digest["plan:trace/queue"] = os.environ.get("REPRO_EVENT_QUEUE", "calendar")
         return digest
 
-    monkeypatch.setitem(check_determinism.PLANS, "plan:probe", (build, queue_sensitive))
-    status = run_tool("--only", "plan:probe", "--variants", "pool,heap")
+    monkeypatch.setitem(check_determinism.PLANS, "plan:trace", (build, queue_sensitive))
+    status = run_tool("--only", "plan:trace", "--variants", "pool,heap")
     out = capsys.readouterr().out
     assert status == 1
-    assert "plan:probe × heap: plan:probe/queue heap != serial calendar" in out
-    assert "plan:probe × pool" not in out
+    assert "plan:trace × heap: plan:trace/queue heap != serial calendar" in out
+    assert "plan:trace × pool" not in out
     assert "REPRO_EVENT_QUEUE" not in os.environ  # the variant restored it
 
 
@@ -108,9 +110,25 @@ def test_cache_variant_fails_when_the_warm_run_misses(monkeypatch, capsys):
         (),
         ("--variants", "replay"),
         ("--only", "no_such_experiment", "--variants", "heap"),
+        ("--only", "table2", "--check", "no/such/baseline.json"),
     ],
 )
 def test_invalid_invocations_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
         run_tool(*argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "content",
+    ['{"table2": "abc"}', '{"table2": {"rows": 4}}', "[1, 2]", "not json"],
+)
+def test_malformed_baseline_is_a_usage_error_before_any_run(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    with pytest.raises(SystemExit) as exc:
+        run_tool("--only", "table2", "--check", str(path))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "running" not in captured.out
+    assert str(path) in captured.err

@@ -273,6 +273,57 @@ class TestExplain:
         assert "no spans" in capsys.readouterr().err
 
 
+class TestExplainMergedTrace:
+    """``run-all --trace`` writes one merged file; task names repeat
+    across its sections, so each section is derived on its own."""
+
+    @pytest.fixture(scope="class")
+    def bundle(self):
+        from repro.runner.executor import execute_plan
+        from repro.simcore.time import sec
+        from repro.telemetry.trace_plan import trace_plan
+
+        return execute_plan(trace_plan(faults=("pcpu_fail",), duration_ns=sec(1)))
+
+    def test_blame_table_equals_the_bundles_merged_blame(
+        self, bundle, capsys, tmp_path
+    ):
+        from repro.report.ascii import render_blame_table
+
+        path = bundle.write(str(tmp_path / "robustness.rtvt"))
+        assert main(["explain", path]) == 0
+        out = capsys.readouterr().out
+        assert render_blame_table(bundle.blame.snapshot()) in out
+        assert "worst misses — pcpu_fail/RT-Xen:" in out
+
+    def test_job_timelines_are_labelled_by_section(self, bundle, capsys, tmp_path):
+        path = bundle.write(str(tmp_path / "robustness.rtvt"))
+        assert main(["explain", path, "--job", "vm2.rta1#13"]) == 0
+        out = capsys.readouterr().out
+        assert "=== pcpu_fail/RT-Xen" in out
+
+    def test_file_without_section_headers_still_explains(
+        self, bundle, capsys, tmp_path
+    ):
+        import json
+        import struct
+
+        data = bundle.merged_data
+        (length,) = struct.unpack("<Q", data[-12:-4])
+        trailer = json.loads(data[-12 - length : -12])
+        for section in trailer["sections"]:
+            del section["header"]
+        payload = json.dumps(trailer, sort_keys=True, separators=(",", ":")).encode()
+        path = tmp_path / "old.rtvt"
+        path.write_bytes(
+            data[: -12 - length] + payload + struct.pack("<Q", len(payload)) + b"RTVT"
+        )
+        assert main(["explain", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "deadline-miss blame" in out
+        assert "worst misses — pcpu_fail/Credit:" in out
+
+
 class TestCluster:
     def test_cluster_run_prints_per_host_rows(self, capsys):
         rc = main(

@@ -127,3 +127,28 @@ class TestFileLoading:
         path.write_text(json.dumps(basic_spec()))
         assert main(["scenario", str(path)]) == 0
         assert "deadlines met" in capsys.readouterr().out
+
+    def test_cli_scenario_derives_telemetry_and_blame(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(basic_spec(duration_s=1)))
+        chrome = tmp_path / "timeline.json"
+        argv = ["scenario", str(path), "--telemetry", "--blame"]
+        assert main(argv + ["--chrome-trace", str(chrome)]) == 0
+        out = capsys.readouterr().out
+        assert "deadlines met" in out
+        assert "(100 decided)" in out
+        assert "deadline-miss blame (0/0 misses explained)" in out
+        # a live consumer still observes the recorded run
+        assert "chrome trace:" in out and chrome.exists()
+
+    def test_cli_explain_scenario(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(basic_spec(duration_s=1)))
+        assert main(["explain", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"scenario {str(path)!r}: 1s simulated")
+        assert "deadline-miss blame" in out

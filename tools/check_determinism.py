@@ -2,15 +2,12 @@
 """Determinism oracle: every subject hashes the same under every variant.
 
 A *subject* is a registry experiment, hashed as the canonical JSON of
-its ``rows()``, or one of three plans that live outside the registry:
-
-- ``plan:probe`` -- the telemetry probe: one hash per system of the
-  merged streaming-aggregate snapshots;
-- ``plan:blame`` -- the span/blame sweep (pcpu_fail and hypercall, 1
-  simulated second): the merged blame report plus every cell's snapshot;
-- ``plan:trace`` -- the flight-recorder sweep (pcpu_fail and vm_churn,
-  1 simulated second): the merged canonical trace hash plus every
-  cell's trace hash.
+its ``rows()``, or ``plan:trace``, the flight-recorder sweep that lives
+outside the registry (pcpu_fail and vm_churn under every scheduler, 1
+simulated second, seed 11).  Its digest holds the merged canonical
+trace hash and every cell's trace hash, plus what the parent derives
+from the recorded traces: every cell's blame, the merged blame report
+and one merged stream snapshot per scheduler.
 
 Each subject first runs serially, in-process, as the reference.  It is
 then re-run under every *variant* named by ``--variants``, and each of
@@ -27,16 +24,17 @@ its hashes must equal the reference:
 
 ``--record PATH`` writes the serial hashes as a baseline
 (``{id: {rows, sha256, wall_s}}``); ``--check PATH`` fails on any
-selected subject whose hash differs from it or is missing from it:
+selected subject whose hash differs from it or is missing from it.  The
+baseline is read and validated before any subject runs:
 
     python tools/check_determinism.py --record baseline.json
     ... hack on the scheduler hot path ...
     python tools/check_determinism.py --check baseline.json --variants pool,heap,cache
 
 ``--only`` takes comma-separated subject ids or globs (default: every
-registry experiment; ``'plan:*'`` selects the three plans, ``'*'``
+registry experiment; ``'plan:*'`` selects the plan, ``'*'``
 everything).  ``--seed`` overrides the RNG seed of the robustness
-family and of the blame and trace plans.  Exit status is 1 when any
+family and of the trace plan.  Exit status is 1 when any
 subject × variant, or the baseline, diverges; each failure names both.
 
 The single-purpose flags of earlier versions map onto the matrix:
@@ -44,8 +42,8 @@ The single-purpose flags of earlier versions map onto the matrix:
     --parallel N     --variants pool --jobs N
     --queue          --variants heap
     --cache          --variants cache
-    --streams N      --only plan:probe --variants pool --jobs N
-    --blame N        --only plan:blame --variants pool --jobs N
+    --streams N      --only plan:trace --variants pool --jobs N
+    --blame N        --only plan:trace --variants pool --jobs N
     --trace N        --only plan:trace --variants pool,heap --jobs N
     --cluster N      --only 'cluster_*' --variants pool --jobs N
     --feedback N     --only 'feedback_*,tenant_*' --variants pool --jobs N
@@ -69,8 +67,6 @@ from repro.experiments import registry  # noqa: E402
 from repro.runner import ResultCache, run_experiments  # noqa: E402
 from repro.runner.executor import execute_plan  # noqa: E402
 from repro.simcore.time import sec  # noqa: E402
-from repro.telemetry.blame_plan import BLAME_SEED, blame_plan  # noqa: E402
-from repro.telemetry.probe import probe_plan  # noqa: E402
 from repro.telemetry.trace_plan import TRACE_SEED, trace_plan  # noqa: E402
 
 VARIANTS = ("pool", "heap", "cache")
@@ -109,39 +105,20 @@ def _cell(part) -> str:
     return f"{part['fault']}/{part['scheduler']}"
 
 
-def _probe_digest(result) -> dict:
-    return {
-        f"plan:probe/{system}": rows_hash(result.merged[system])
-        for system in sorted(result.merged)
-    }
-
-
-def _blame_digest(result) -> dict:
-    digest = {"plan:blame/merged": rows_hash(result.merged.snapshot())}
-    for part in result.parts:
-        digest[f"plan:blame/{_cell(part)}"] = rows_hash(part)
-    return digest
-
-
 def _trace_digest(result) -> dict:
     digest = {"plan:trace/merged": result.merged_hash}
     for part in result.parts:
         digest[f"plan:trace/{_cell(part)}"] = part["hash"]
+        digest[f"plan:trace/blame/{_cell(part)}"] = rows_hash(part["blame"])
+    digest["plan:trace/blame-merged"] = rows_hash(result.blame.snapshot())
+    for scheduler, snapshot in result.streams.items():
+        digest[f"plan:trace/streams/{scheduler}"] = rows_hash(snapshot)
     return digest
 
 
 #: Out-of-registry subjects: name -> (plan builder taking the ``--seed``
 #: override, digest projection of the assembled result).
 PLANS = {
-    "plan:probe": (lambda seed: probe_plan(), _probe_digest),
-    "plan:blame": (
-        lambda seed: blame_plan(
-            faults=("pcpu_fail", "hypercall"),
-            duration_ns=sec(1),
-            seed=BLAME_SEED if seed is None else seed,
-        ),
-        _blame_digest,
-    ),
     "plan:trace": (
         lambda seed: trace_plan(
             faults=("pcpu_fail", "vm_churn"),
@@ -151,6 +128,24 @@ PLANS = {
         _trace_digest,
     ),
 }
+
+
+def load_baseline(path: str) -> dict:
+    """``{subject: sha256}`` of a ``--record`` file; ValueError if unusable."""
+    try:
+        with open(path) as fh:
+            recorded = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read baseline {path}: {exc}") from None
+    if not isinstance(recorded, dict) or not all(
+        isinstance(entry, dict) and isinstance(entry.get("sha256"), str)
+        for entry in recorded.values()
+    ):
+        raise ValueError(
+            f"baseline {path} is not {{id: {{rows, sha256, wall_s}}}} "
+            "as written by --record"
+        )
+    return {subject: entry["sha256"] for subject, entry in recorded.items()}
 
 
 def select(patterns) -> list:
@@ -254,8 +249,8 @@ def main(argv=None) -> int:
         "--seed",
         type=int,
         metavar="N",
-        help="RNG-seed override for the robustness family and the blame "
-        "and trace plans; applied to the reference and every variant",
+        help="RNG-seed override for the robustness family and the trace "
+        "plan; applied to the reference and every variant",
     )
     parser.add_argument(
         "--jobs",
@@ -286,6 +281,10 @@ def main(argv=None) -> int:
             subjects = registry.all_ids()
     except KeyError as exc:
         parser.error(exc.args[0])
+    try:
+        recorded = load_baseline(args.check) if args.check else {}
+    except ValueError as exc:
+        parser.error(exc.args[0])
 
     reference, baseline = {}, {}
     for subject in subjects:
@@ -314,13 +313,11 @@ def main(argv=None) -> int:
             json.dump(baseline, fh, indent=2, sort_keys=True)
         print(f"[determinism] baseline written to {args.record}")
     elif args.check:
-        with open(args.check) as fh:
-            recorded = json.load(fh)
         for subject in subjects:
             if subject not in recorded:
                 failures.append(f"{subject} × baseline: not in baseline")
                 continue
-            want = recorded[subject]["sha256"]
+            want = recorded[subject]
             got = baseline[subject]["sha256"]
             if got != want:
                 failures.append(
