@@ -14,7 +14,8 @@ Run standalone to (re)generate ``BENCH_engine.json`` at the repo root:
     PYTHONPATH=src python benchmarks/bench_engine_throughput.py --out /tmp/b.json
 
 ``tools/check_perf.py`` compares a fresh run against the committed
-``BENCH_engine.json`` and fails on a >20% events/sec regression.
+``BENCH_engine.json`` and fails when events/sec regresses by more than
+its ``--tolerance`` (default 5%).
 """
 
 from __future__ import annotations

@@ -18,11 +18,14 @@ PCPUs not needed by RT servers run background VCPUs.
 
 Hot-path structure (see DESIGN.md for the full argument):
 
-- the eligible set is maintained **incrementally**: ``_ready`` indexes
-  servers with budget left (updated on replenish and on the drain-to-
-  zero crossing in :meth:`account`); selection sweeps only that index
-  and sorts it at C level, so each decision costs O(ready log ready)
-  comparisons over the ready set instead of every registered server;
+- the eligible set is **state, kept sorted**: ``_ranked`` lists the
+  servers with budget left *and* runnable work in (deadline, uid) order.
+  It changes only where an input of that predicate changes — replenish,
+  the drain-to-zero crossing in :meth:`account`, removal, and the
+  has-work crossings the machine reports (:meth:`on_vcpu_wake`,
+  :meth:`on_work_drained`, :meth:`on_dispatch_change`) — each an
+  O(log R) bisect over the R ranked servers.  A decision is then an
+  O(m) slice of the first m entries, with no per-pass filter or sort;
 - **exhaust timers are armed only when a target can have moved**: at
   placement, and on a replenish that lands on an already-placed server.
   While a server runs continuously its budget drains at wall rate, so
@@ -43,6 +46,7 @@ Hot-path structure (see DESIGN.md for the full argument):
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from fractions import Fraction
 from operator import attrgetter
 from typing import Dict, List, Optional, Set, Tuple
@@ -68,6 +72,7 @@ class _Server:
         "exhaust_event",
         "replenish_name",
         "exhaust_name",
+        "ranked",
     )
 
     def __init__(self, vcpu: VCPU, budget: int, period: int) -> None:
@@ -84,15 +89,11 @@ class _Server:
         #: Event names, formatted once instead of per timer arm.
         self.replenish_name = f"replenish:{vcpu.name}"
         self.exhaust_name = f"exhaust:{vcpu.name}"
+        #: Whether the server sits in the scheduler's ranked list.
+        self.ranked = False
 
 
 _SERVER_KEY = attrgetter("key")
-
-
-def _has_work(vcpu: VCPU) -> bool:
-    """Inlined ``vcpu.vm.vcpu_has_work(vcpu)`` for the selection loops."""
-    vm = vcpu.vm
-    return (vm._pending_jobs if vm._is_gedf else vcpu._pending_jobs) > 0
 
 
 class EDFHostScheduler(HostScheduler):
@@ -104,13 +105,14 @@ class EDFHostScheduler(HostScheduler):
         super().__init__()
         self._servers: Dict[int, _Server] = {}  # vcpu uid -> server
         self._started = False
-        #: Servers with remaining budget (the incrementally-maintained
-        #: half of the eligibility predicate; the other half, "has
-        #: runnable work", is an O(1) counter check at use time).
+        #: Servers with remaining budget (the budget half of the
+        #: eligibility predicate).
         self._ready: Dict[int, _Server] = {}
-        #: Eligible count computed by the last :meth:`_choose` (equals
-        #: ``_eligible_count()`` at that point); reused by the placement
-        #: loop's schedule-cost charge instead of a second sweep.
+        #: The eligible servers — budget left and runnable work — sorted
+        #: by ``key``; kept exact by :meth:`_rank` at every input change.
+        self._ranked: List[_Server] = []
+        #: Eligible count seen by the last :meth:`_choose`; the placement
+        #: loop's schedule-cost charge reads it after vacates have run.
         self._last_eligible = 0
         #: Bumped on every change that can alter the scheduling
         #: decision: replenish, exhaust, a VCPU gaining its first job,
@@ -163,6 +165,8 @@ class EDFHostScheduler(HostScheduler):
         if server is None:
             return
         self._ready.pop(vcpu.uid, None)
+        if server.ranked:
+            self._unrank(server)
         self._rearm.discard(vcpu.uid)
         self._mutations += 1
         self.engine.cancel(server.replenish_event)
@@ -180,11 +184,14 @@ class EDFHostScheduler(HostScheduler):
         # sync — its budget is the only accounting the refill overwrites.
         self.machine.sync_running(server.vcpu)
         now = self.machine.engine._now
+        if server.ranked:
+            self._unrank(server)  # under its old key
         server.remaining = server.budget
         server.deadline = now + server.period
         uid = server.vcpu.uid
         server.key = (server.deadline, uid)
         self._ready[uid] = server
+        self._rank(server)
         self._mutations += 1
         if uid in self.machine._vcpu_pcpu:
             # Refill landed on a placed server: its exhaust target just
@@ -236,6 +243,8 @@ class EDFHostScheduler(HostScheduler):
             server.remaining = max(0, server.remaining - elapsed)
             if server.remaining == 0:
                 del self._ready[vcpu.uid]
+                if server.ranked:
+                    self._unrank(server)
                 # Publish at the drain crossing itself, not in the
                 # exhaust timer: a preemption-race drain (the timer sees
                 # ``remaining > 0`` stale and bails) previously emitted
@@ -262,6 +271,7 @@ class EDFHostScheduler(HostScheduler):
                 # :meth:`_request_reschedule` covers the one hidden
                 # input (budget hitting zero at this very instant,
                 # ahead of its exhaust timer).
+                self._rerank(vcpu)
                 self._mutations += 1
             self._request_reschedule()
         elif vcpu in self._background:
@@ -276,10 +286,54 @@ class EDFHostScheduler(HostScheduler):
         self._request_reschedule()
 
     def on_work_drained(self, vcpu: VCPU) -> None:
-        server = self._servers.get(vcpu.uid)
-        if server is not None and not vcpu.vm.vcpu_has_work(vcpu):
-            # The server's last job retired: it left the eligible set.
-            self._mutations += 1
+        if not vcpu.vm.vcpu_has_work(vcpu):
+            self._rerank(vcpu)
+            if vcpu.uid in self._servers:
+                # The server's last job retired: it left the eligible set.
+                self._mutations += 1
+
+    def on_dispatch_change(self, vm) -> None:
+        # Task churn moves pending jobs between the VM's VCPUs (pEDF pin
+        # transfers) or in and out of the VM: any server's has-work input
+        # may have crossed.  Not a mutation and no pass request: churn
+        # alone does not reschedule — a placed VCPU left without work
+        # reports idle through the machine, and that requests the pass.
+        self._rank_vcpus(vm.vcpus)
+
+    # -- the ranked eligible list ---------------------------------------------------------
+
+    def _rank(self, server: _Server) -> None:
+        """Bring *server*'s place in ``_ranked`` in line with its inputs."""
+        vcpu = server.vcpu
+        vm = vcpu.vm
+        eligible = (
+            server.remaining > 0
+            and (vm._pending_jobs if vm._is_gedf else vcpu._pending_jobs) > 0
+        )
+        if eligible != server.ranked:
+            if eligible:
+                insort(self._ranked, server, key=_SERVER_KEY)
+                server.ranked = True
+            else:
+                self._unrank(server)
+
+    def _unrank(self, server: _Server) -> None:
+        ranked = self._ranked
+        del ranked[bisect_left(ranked, server.key, key=_SERVER_KEY)]
+        server.ranked = False
+
+    def _rerank(self, vcpu: VCPU) -> None:
+        """Re-rank every server whose has-work input is *vcpu*'s counter:
+        the VCPU's own, or the VM-wide one under a gEDF guest."""
+        vm = vcpu.vm
+        self._rank_vcpus(vm.vcpus if vm._is_gedf else (vcpu,))
+
+    def _rank_vcpus(self, vcpus) -> None:
+        servers = self._servers
+        for vcpu in vcpus:
+            server = servers.get(vcpu.uid)
+            if server is not None:
+                self._rank(server)
 
     # -- reschedule coalescing -----------------------------------------------------------
 
@@ -333,53 +387,15 @@ class EDFHostScheduler(HostScheduler):
     # -- the scheduling decision -----------------------------------------------------------
 
     def _eligible(self) -> List[_Server]:
-        """Eligible servers sorted by (deadline, uid).
-
-        Iterates only the ready (budget-holding) index, not every
-        server; used by the partitioned variant and diagnostics.  The
-        global variant's :meth:`_choose` inlines the same sweep and
-        trims the sorted list to the available PCPUs.
-        """
-        servers = [s for s in self._ready.values() if _has_work(s.vcpu)]
-        servers.sort(key=_SERVER_KEY)
-        return servers
-
-    def _eligible_count(self) -> int:
-        count = 0
-        for s in self._ready.values():
-            vcpu = s.vcpu
-            vm = vcpu.vm
-            if (vm._pending_jobs if vm._is_gedf else vcpu._pending_jobs) > 0:
-                count += 1
-        return count
+        """Eligible servers sorted by (deadline, uid), as a copy."""
+        return list(self._ranked)
 
     def _choose(self) -> List[_Server]:
-        """The m earliest-deadline eligible servers.
-
-        One sweep over the ready (budget-holding) index filters for
-        runnable work — the eligibility predicate inlined from
-        ``_has_work`` — then a C-level sort picks the winners.
-        Equivalent to ``self._eligible()[:m]``; also caches the eligible
-        count for the placement loop's schedule-cost charge.
-        """
-        m = self.machine.available_count
-        eligible = [
-            server
-            for server in self._ready.values()
-            if (
-                vm._pending_jobs
-                if (vm := server.vcpu.vm)._is_gedf
-                else server.vcpu._pending_jobs
-            )
-            > 0
-        ]
-        self._last_eligible = len(eligible)
-        # Timsort + trim beats heapq.nsmallest at this size (~3x measured
-        # at 48 servers / m=16); keys are unique so both agree exactly.
-        eligible.sort(key=_SERVER_KEY)
-        if len(eligible) > m:
-            del eligible[m:]
-        return eligible
+        """The m earliest-deadline eligible servers; also records the
+        eligible count for the placement loop's schedule-cost charge."""
+        ranked = self._ranked
+        self._last_eligible = len(ranked)
+        return ranked[: self.machine.available_count]
 
     def _free_pcpus(self) -> List[int]:
         return [
@@ -403,16 +419,16 @@ class EDFHostScheduler(HostScheduler):
     def _sync_if_boundary(self) -> None:
         """Full pre-decision sync, only at instants where it can matter.
 
-        The decision (:meth:`_choose`) reads the ready index and the
-        pending-job counters.  Both are maintained exactly by targeted
-        syncs *except* at two kinds of instant, where the old
-        unconditional ``sync_all`` observed a change ahead of the event
-        that reports it:
+        The decision (:meth:`_choose`) reads the ranked list, which
+        follows the budgets and the pending-job counters.  Both are
+        maintained exactly by targeted syncs *except* at two kinds of
+        instant, where the old unconditional ``sync_all`` observed a
+        change ahead of the event that reports it:
 
         - a running server's budget drains to exactly zero now — its
           BUDGET-priority exhaust timer has not fired yet, but
-          ``account()``'s zero-crossing must drop it from the ready
-          index before the decision; and
+          ``account()``'s zero-crossing must drop it from the ranked
+          list before the decision; and
         - a running job's work reaches exactly zero now — its
           COMPLETION-priority event has not fired yet, but the sweep's
           charge retires it, draining the queue before the decision.
@@ -647,12 +663,17 @@ class PartitionedEDFHostScheduler(EDFHostScheduler):
         # The per-PCPU sweep below re-arms every chosen server, so the
         # global variant's placed-replenish re-arm set is moot here.
         self._rearm.clear()
-        eligible = self._eligible()
+        # Split the ranked list by home PCPU in one pass; each local list
+        # stays in (deadline, uid) order.
+        by_home: Dict[int, List[_Server]] = {}
+        home = self._home
+        for server in self._ranked:
+            by_home.setdefault(home.get(server.vcpu.uid), []).append(server)
         for pcpu in machine.pcpus:
             if pcpu.failed:
                 # Servers still homed here are parked until recovery.
                 continue
-            local = [s for s in eligible if self._home.get(s.vcpu.uid) == pcpu.index]
+            local = by_home.get(pcpu.index, ())
             chosen = local[0] if local else None
             occupant = pcpu.running_vcpu
             occupant_is_rt = occupant is not None and occupant.uid in self._servers

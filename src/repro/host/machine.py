@@ -467,6 +467,8 @@ class Machine:
             occupant = pcpu.running_vcpu
             if occupant is not None and occupant.vm is vm:
                 self._dirty_pcpus.add(pcpu.index)
+        if self.host_scheduler is not None:
+            self.host_scheduler.on_dispatch_change(vm)
         self._request_refresh()
 
     # -- completion management ----------------------------------------------------------------

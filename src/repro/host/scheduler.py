@@ -195,6 +195,15 @@ class HostScheduler(abc.ABC):
         no-op pass elision) hook this.  Default: ignore.
         """
 
+    def on_dispatch_change(self, vm) -> None:
+        """Task churn in *vm* (register/adjust/unregister) finished.
+
+        Pending jobs may have moved between the VM's VCPUs (pEDF pin
+        transfers) or in or out of the VM, so any of its VCPUs may have
+        gained or lost runnable work without a wake or a retirement.
+        Default: ignore.
+        """
+
     def account(self, vcpu: VCPU, pcpu_index: int, elapsed: int) -> None:
         """*vcpu* occupied *pcpu_index* for *elapsed* ns (wall-clock).
 

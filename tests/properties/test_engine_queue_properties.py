@@ -288,7 +288,7 @@ _server_specs = st.lists(
 @given(_server_specs, st.integers(1, 4), st.integers(1, 40))
 @settings(max_examples=20, deadline=None)
 def test_incremental_eligible_matches_from_scratch(specs, pcpus, probe_ms):
-    """The ready index selects what a full re-sort would select.
+    """The ranked eligible list selects what a full re-sort would select.
 
     Runs a gEDF-DS system, stops at an arbitrary instant, and checks
     the incremental structures against brute force over the raw server
