@@ -11,7 +11,8 @@ peers absorb the (bounded) extra migrations.
 from repro.core.system import RTVirtSystem
 from repro.guest.task import Task
 from repro.simcore.time import msec, sec
-from repro.simcore.trace import Trace
+from repro.telemetry.record import TraceReader, TraceRecorder
+from repro.telemetry.replay import TIMELINE_KINDS, timeline_from_trace
 from repro.workloads.periodic import PeriodicDriver
 
 from .conftest import run_once
@@ -22,10 +23,10 @@ MIX = {"a": (8, 10), "b": (8, 10), "c": (3, 10)}  # forces wrap splits
 def run_variant(pin: bool, duration_ns=sec(10)):
     from repro.host.costs import ZERO_COSTS
 
-    trace = Trace()
     # Exact reservations (no slack/costs): the mix sums to 1.9 CPUs and
     # the comparison isolates the migration behaviour.
-    system = RTVirtSystem(pcpu_count=2, trace=trace, slack_ns=0, cost_model=ZERO_COSTS)
+    system = RTVirtSystem(pcpu_count=2, slack_ns=0, cost_model=ZERO_COSTS)
+    recorder = TraceRecorder().attach(system.machine.bus, kinds=TIMELINE_KINDS)
     vms = {}
     for name, (s, p) in MIX.items():
         vm = system.create_vm(f"{name}-vm")
@@ -37,6 +38,7 @@ def run_variant(pin: bool, duration_ns=sec(10)):
         system.scheduler.set_affinity(vms["b"].vcpus[0], 0)
     system.run(duration_ns)
     system.finalize()
+    trace = timeline_from_trace(TraceReader(recorder.close()))
 
     def migrations_of(vcpu_name):
         pcpus = [s.pcpu for s in trace.segments_for_vcpu(vcpu_name)]

@@ -206,8 +206,8 @@ def _build_parser() -> argparse.ArgumentParser:
     scenario.add_argument(
         "--chrome-trace",
         metavar="PATH",
-        help="stream a chrome://tracing timeline of the run to PATH "
-        "(.json), without retaining a full trace in memory",
+        help="record the run and write its chrome://tracing timeline, "
+        "derived from the trace, to PATH (.json)",
     )
     scenario.add_argument(
         "--blame",
@@ -628,29 +628,27 @@ def _cmd_scenario(args) -> int:
     holder = {}
 
     def attach(system) -> None:
-        bus = system.machine.bus
-        if args.chrome_trace:
-            from .report.export import ChromeTraceExporter
+        from .telemetry.profile import SimProfiler
 
-            holder["exporter"] = ChromeTraceExporter().attach(bus)
-        if args.profile:
-            from .telemetry.profile import SimProfiler
+        holder["profiler"] = SimProfiler().install(
+            engine=system.engine, bus=system.machine.bus
+        )
 
-            holder["profiler"] = SimProfiler().install(
-                engine=system.engine, bus=bus
-            )
-
-    live = attach if args.chrome_trace or args.profile else None
-    if args.telemetry or args.blame:
-        from .telemetry.replay import derive_from_trace, record_scenario_file
+    live = attach if args.profile else None
+    if args.telemetry or args.blame or args.chrome_trace:
+        from .telemetry.replay import record_scenario_file
 
         recorded = record_scenario_file(args.path, attach=live)
         print(recorded.summary)
-        spans, telemetry = derive_from_trace(recorded.reader())
+        reader = recorded.reader()
     else:
         from .scenario import run_scenario_file
 
         print(run_scenario_file(args.path, attach=live).summary())
+    if args.telemetry or args.blame:
+        from .telemetry.replay import derive_from_trace
+
+        spans, telemetry = derive_from_trace(reader)
     if args.telemetry:
         misses = telemetry.misses
         print("telemetry (streamed):")
@@ -672,9 +670,11 @@ def _cmd_scenario(args) -> int:
             f"  cpu consumed: {sum(consumed_ns.values()) / 1e6:.1f}ms "
             f"across {len(consumed_ns)} vcpus"
         )
-    exporter = holder.get("exporter")
-    if exporter is not None:
-        count = exporter.write(args.chrome_trace)
+    if args.chrome_trace:
+        from .report.export import export_chrome_trace
+        from .telemetry.replay import timeline_from_trace
+
+        count = export_chrome_trace(timeline_from_trace(reader), args.chrome_trace)
         print(f"chrome trace: {count} events -> {args.chrome_trace}")
     if args.blame:
         from .report.ascii import render_blame_table

@@ -30,7 +30,8 @@ from typing import Dict, List, Optional, Tuple
 from ..core.system import RTVirtSystem
 from ..simcore.rng import RandomStreams
 from ..simcore.time import SEC, sec
-from ..simcore.trace import Trace
+from ..telemetry.record import TraceReader, TraceRecorder
+from ..telemetry.replay import TIMELINE_KINDS, timeline_from_trace
 from ..workloads.video import TABLE3_PROFILES, DynamicStreamingWorkload, SessionRecord
 from .common import format_table
 
@@ -118,8 +119,8 @@ def run_fig4_vm(
         raise ValueError(f"vm_index {vm_index} outside [0, {vm_count})")
     partition_pcpus = -(-pcpu_count // vm_count)  # ceil
     streams = RandomStreams(seed)
-    trace = Trace()
-    system = RTVirtSystem(pcpu_count=partition_pcpus, trace=trace)
+    system = RTVirtSystem(pcpu_count=partition_pcpus)
+    recorder = TraceRecorder().attach(system.machine.bus, kinds=TIMELINE_KINDS)
     workload = DynamicStreamingWorkload(
         system,
         streams.stream(f"churn-vm{vm_index + 1}"),
@@ -130,6 +131,7 @@ def run_fig4_vm(
     ).start()
     system.run(duration_ns)
     system.finalize()
+    trace = timeline_from_trace(TraceReader(recorder.close()))
 
     (vm,) = workload.vms
     merged: Dict[int, int] = {}

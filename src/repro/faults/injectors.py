@@ -48,9 +48,9 @@ class FaultContext:
     """Shared state for one installed fault scenario.
 
     Holds the target system, the seeded random streams, the fault log
-    (``(time_ns, kind, detail)`` tuples, also mirrored into the
-    machine's trace as ``"fault"`` events), and per-kind counters used
-    to mint deterministic names for booted VMs.
+    (``(time_ns, kind, detail)`` tuples, also published on the machine's
+    telemetry bus), and per-kind counters used to mint deterministic
+    names for booted VMs.
     """
 
     def __init__(self, system, streams: Optional[RandomStreams] = None) -> None:
@@ -64,21 +64,19 @@ class FaultContext:
         #: Live drivers started by churn faults, so shutdown can stop them.
         self._drivers: Dict[str, List[PeriodicDriver]] = {}
 
-    def record(self, kind: str, *detail, trace: bool = True) -> None:
+    def record(self, kind: str, *detail, publish: bool = True) -> None:
         """Log one applied fault and publish it on the telemetry bus.
 
-        Pass ``trace=False`` when another layer (the machine) already
+        Pass ``publish=False`` when another layer (the machine) already
         published the event — the local log is still appended.  Faults
         whose detail ends in a recovery marker ("end"/"revert"/
         "shutdown"), and ``pcpu_recover``, publish as
         :data:`~repro.telemetry.events.FAULT_RECOVERED`; everything else
-        as :data:`~repro.telemetry.events.FAULT_INJECTED`.  The machine
-        trace (when enabled) receives them through its bus subscription,
-        preserving the legacy ``"fault"`` trace records.
+        as :data:`~repro.telemetry.events.FAULT_INJECTED`.
         """
         now = self.engine.now
         self.log.append((now, kind, detail))
-        if not trace:
+        if not publish:
             return
         recovered = kind == "pcpu_recover" or (
             detail and detail[-1] in _RECOVERY_MARKERS
@@ -145,9 +143,9 @@ class PcpuFail(Fault):
 
     def apply(self, ctx: FaultContext) -> None:
         # The system-level entry point layers admission shedding on top
-        # of the machine's eviction; the machine records the trace event.
+        # of the machine's eviction; the machine publishes the fault event.
         ctx.system.fail_pcpu(self.pcpu)
-        ctx.record(self.kind, self.pcpu, trace=False)
+        ctx.record(self.kind, self.pcpu, publish=False)
 
 
 @dataclass(frozen=True)
@@ -160,7 +158,7 @@ class PcpuRecover(Fault):
 
     def apply(self, ctx: FaultContext) -> None:
         ctx.system.recover_pcpu(self.pcpu)
-        ctx.record(self.kind, self.pcpu, trace=False)
+        ctx.record(self.kind, self.pcpu, publish=False)
 
 
 @dataclass(frozen=True)
@@ -179,7 +177,7 @@ class HostFail(Fault):
 
     def apply(self, ctx: FaultContext) -> None:
         ctx.system.fail_host(self.host)
-        ctx.record(self.kind, self.host, trace=False)
+        ctx.record(self.kind, self.host, publish=False)
 
 
 @dataclass(frozen=True)
@@ -197,7 +195,7 @@ class HostRecover(Fault):
 
     def apply(self, ctx: FaultContext) -> None:
         ctx.system.recover_host(self.host)
-        ctx.record(self.kind, self.host, trace=False)
+        ctx.record(self.kind, self.host, publish=False)
 
 
 @dataclass(frozen=True)

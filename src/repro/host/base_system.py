@@ -15,7 +15,6 @@ from ..control.port import ActuationPort
 from ..guest.vm import VM
 from ..metrics.deadlines import MissReport, collect_miss_report
 from ..simcore.engine import Engine
-from ..simcore.trace import Trace
 from .costs import DEFAULT_COSTS, CostModel
 from .machine import Machine
 
@@ -28,10 +27,9 @@ class BaseSystem:
         pcpu_count: int,
         engine: Optional[Engine] = None,
         cost_model: CostModel = DEFAULT_COSTS,
-        trace: Optional[Trace] = None,
     ) -> None:
         self.engine = engine if engine is not None else Engine()
-        self.machine = Machine(self.engine, pcpu_count, cost_model, trace)
+        self.machine = Machine(self.engine, pcpu_count, cost_model)
         #: The actuation port every bandwidth/placement mutation flows
         #: through.  The base system executes the generic mechanisms
         #: (cross-layer port calls, PCPU faults); subclasses register

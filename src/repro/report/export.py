@@ -5,142 +5,113 @@ Any captured :class:`~repro.simcore.trace.Trace` can be dumped to a
 PCPUs become rows, execution segments become duration events coloured
 by VM, and point events (switches, migrations, completions) become
 instant events.  Injected faults (``kind == "fault"`` trace events,
-recorded by the machine and :mod:`repro.faults`) land as global instant
+published by the machine and :mod:`repro.faults`) land as global instant
 events on a dedicated ``faults`` track so the timeline shows exactly
 when the system was hit.
 
-Two paths produce identical output:
-
-- :func:`trace_to_chrome_events` converts an already-captured trace
-  post-hoc;
-- :class:`ChromeTraceExporter` subscribes to a
-  :class:`~repro.telemetry.bus.TelemetryBus` and streams the chrome
-  dicts as the simulation runs, so a full-fidelity timeline never needs
-  an unbounded in-memory :class:`Trace`.
+The trace is derived from a recorded run
+(:func:`repro.telemetry.replay.timeline_from_trace`), so any recording
+can be exported after the fact; ``repro scenario --chrome-trace`` does
+exactly that.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..simcore.errors import ConfigurationError
 from ..simcore.trace import Trace
-from ..telemetry import events as T
 
 #: Row (chrome-tracing tid) holding injected-fault instant events; far
 #: above any realistic PCPU index so the track never collides.
 FAULT_TRACK_TID = 999
 
 
-# -- per-event dict builders (shared by the post-hoc and streaming paths) ------------
-
-
-def _process_meta(process_name: str) -> Dict:
-    return {
-        "name": "process_name",
-        "ph": "M",
-        "pid": 0,
-        "args": {"name": process_name},
-    }
-
-
-def _fault_track_meta() -> Dict:
-    return {
-        "name": "thread_name",
-        "ph": "M",
-        "pid": 0,
-        "tid": FAULT_TRACK_TID,
-        "args": {"name": "faults"},
-    }
-
-
-def _pcpu_track_meta(pcpu: int) -> Dict:
-    return {
-        "name": "thread_name",
-        "ph": "M",
-        "pid": 0,
-        "tid": pcpu,
-        "args": {"name": f"pcpu{pcpu}"},
-    }
-
-
-def _segment_dict(pcpu: int, vcpu: str, task: Optional[str], start: int, end: int) -> Dict:
-    return {
-        "name": task or vcpu,
-        "cat": vcpu.split(".")[0],
-        "ph": "X",
-        "pid": 0,
-        "tid": pcpu,
-        "ts": start / 1_000.0,
-        "dur": (end - start) / 1_000.0,
-        "args": {"vcpu": vcpu},
-    }
-
-
-def _switch_dict(time: int, pcpu: int, vcpu: str, migrated: bool) -> Dict:
-    return {
-        "name": "migration" if migrated else "switch",
-        "cat": "sched",
-        "ph": "i",
-        "pid": 0,
-        "tid": pcpu,
-        "ts": time / 1_000.0,
-        "s": "t",
-        "args": {"vcpu": vcpu},
-    }
-
-
-def _fault_dict(time: int, fault_kind: str, detail) -> Dict:
-    return {
-        "name": f"fault:{fault_kind}",
-        "cat": "faults",
-        "ph": "i",
-        "pid": 0,
-        "tid": FAULT_TRACK_TID,
-        "ts": time / 1_000.0,
-        "s": "g",
-        "args": {"detail": [str(d) for d in detail]},
-    }
-
-
-def _complete_dict(time: int, task: str, job) -> Dict:
-    return {
-        "name": f"complete:{task}",
-        "cat": "jobs",
-        "ph": "i",
-        "pid": 0,
-        "tid": 0,
-        "ts": time / 1_000.0,
-        "s": "g",
-        "args": {"job": job},
-    }
-
-
 def trace_to_chrome_events(trace: Trace, process_name: str = "host") -> List[Dict]:
-    """Convert a trace to chrome-tracing event dicts (times in µs)."""
-    events: List[Dict] = [_process_meta(process_name)]
-    pcpus = sorted({s.pcpu for s in trace.segments})
+    """Convert a trace to chrome-tracing event dicts (times in µs).
+
+    Metadata rows come first, then every segment, then every point event.
+    """
+    events: List[Dict] = [
+        {"name": "process_name", "ph": "M", "pid": 0, "args": {"name": process_name}}
+    ]
     if any(e.kind == "fault" for e in trace.events):
-        events.append(_fault_track_meta())
-    for pcpu in pcpus:
-        events.append(_pcpu_track_meta(pcpu))
-    for segment in trace.segments:
         events.append(
-            _segment_dict(
-                segment.pcpu, segment.vcpu, segment.task, segment.start, segment.end
-            )
+            {
+                "name": "thread_name",
+                "ph": "M",
+                "pid": 0,
+                "tid": FAULT_TRACK_TID,
+                "args": {"name": "faults"},
+            }
+        )
+    for pcpu in sorted({s.pcpu for s in trace.segments}):
+        events.append(
+            {
+                "name": "thread_name",
+                "ph": "M",
+                "pid": 0,
+                "tid": pcpu,
+                "args": {"name": f"pcpu{pcpu}"},
+            }
+        )
+    for s in trace.segments:
+        events.append(
+            {
+                "name": s.task or s.vcpu,
+                "cat": s.vcpu.split(".")[0],
+                "ph": "X",
+                "pid": 0,
+                "tid": s.pcpu,
+                "ts": s.start / 1_000.0,
+                "dur": s.duration / 1_000.0,
+                "args": {"vcpu": s.vcpu},
+            }
         )
     for event in trace.events:
+        ts = event.time / 1_000.0
         if event.kind == "switch":
             pcpu, vcpu, migrated = event.detail
-            events.append(_switch_dict(event.time, pcpu, vcpu, migrated))
+            events.append(
+                {
+                    "name": "migration" if migrated else "switch",
+                    "cat": "sched",
+                    "ph": "i",
+                    "pid": 0,
+                    "tid": pcpu,
+                    "ts": ts,
+                    "s": "t",
+                    "args": {"vcpu": vcpu},
+                }
+            )
         elif event.kind == "fault":
             fault_kind = event.detail[0] if event.detail else "fault"
-            events.append(_fault_dict(event.time, fault_kind, event.detail[1:]))
-        elif event.kind == "complete":
             events.append(
-                _complete_dict(event.time, event.detail[0], event.detail[1])
+                {
+                    "name": f"fault:{fault_kind}",
+                    "cat": "faults",
+                    "ph": "i",
+                    "pid": 0,
+                    "tid": FAULT_TRACK_TID,
+                    "ts": ts,
+                    "s": "g",
+                    "args": {"detail": [str(d) for d in event.detail[1:]]},
+                }
+            )
+        elif event.kind == "complete":
+            task, job = event.detail
+            events.append(
+                {
+                    "name": f"complete:{task}",
+                    "cat": "jobs",
+                    "ph": "i",
+                    "pid": 0,
+                    "tid": 0,
+                    "ts": ts,
+                    "s": "g",
+                    "args": {"job": job},
+                }
             )
     return events
 
@@ -155,95 +126,6 @@ def export_chrome_trace(
     with open(path, "w") as handle:
         json.dump({"traceEvents": events, "displayTimeUnit": "ms"}, handle)
     return len(events)
-
-
-class ChromeTraceExporter:
-    """Streams telemetry events straight into chrome-tracing dicts.
-
-    Subscribes to the machine's :class:`~repro.telemetry.bus.TelemetryBus`
-    and builds the chrome event list online — the same records
-    :func:`trace_to_chrome_events` would produce from a captured trace
-    (metadata rows are synthesised at write time from the PCPUs/faults
-    actually seen).  Useful when a run is too long to keep a full
-    :class:`Trace` in memory but a timeline is still wanted.
-    """
-
-    def __init__(self, process_name: str = "host") -> None:
-        self.process_name = process_name
-        self._events: List[Dict] = []
-        self._pcpus = set()
-        self._saw_fault = False
-        self._unsubscribe = None
-
-    # -- wiring ------------------------------------------------------------------
-
-    def attach(self, bus) -> "ChromeTraceExporter":
-        """Subscribe to *bus* (detaching any previous subscription)."""
-        self.detach()
-        cancels = [
-            bus.subscribe(T.SEGMENT_END, self._on_segment),
-            bus.subscribe(T.CONTEXT_SWITCH, self._on_switch),
-            bus.subscribe(T.JOB_COMPLETE, self._on_complete),
-            bus.subscribe(T.FAULT_INJECTED, self._on_fault),
-            bus.subscribe(T.FAULT_RECOVERED, self._on_fault),
-        ]
-
-        def unsubscribe() -> None:
-            for cancel in cancels:
-                cancel()
-
-        self._unsubscribe = unsubscribe
-        return self
-
-    def detach(self) -> None:
-        if self._unsubscribe is not None:
-            self._unsubscribe()
-            self._unsubscribe = None
-
-    # -- subscribers -------------------------------------------------------------
-
-    def _on_segment(self, event: T.SegmentEndEvent) -> None:
-        if event.end <= event.start:
-            return  # zero-length charge; the post-hoc path drops it too
-        self._pcpus.add(event.pcpu)
-        self._events.append(
-            _segment_dict(event.pcpu, event.vcpu, event.task, event.start, event.end)
-        )
-
-    def _on_switch(self, event: T.ContextSwitchEvent) -> None:
-        if event.vcpu is None:
-            return  # idle transition; not a legacy "switch" record
-        self._pcpus.add(event.pcpu)
-        self._events.append(
-            _switch_dict(event.time, event.pcpu, event.vcpu, event.migrated)
-        )
-
-    def _on_complete(self, event: T.JobCompleteEvent) -> None:
-        self._events.append(_complete_dict(event.time, event.task, event.job))
-
-    def _on_fault(self, event) -> None:
-        self._saw_fault = True
-        self._events.append(_fault_dict(event.time, event.fault, event.detail))
-
-    # -- output ------------------------------------------------------------------
-
-    def events(self) -> List[Dict]:
-        """Metadata rows plus every streamed event, in arrival order."""
-        header: List[Dict] = [_process_meta(self.process_name)]
-        if self._saw_fault:
-            header.append(_fault_track_meta())
-        for pcpu in sorted(self._pcpus):
-            header.append(_pcpu_track_meta(pcpu))
-        return header + self._events
-
-    def write(self, path: str) -> int:
-        """Write the streamed timeline to *path*; returns event count."""
-        if not path.endswith(".json"):
-            raise ConfigurationError("chrome traces are .json files")
-        events = self.events()
-        with open(path, "w") as handle:
-            json.dump({"traceEvents": events, "displayTimeUnit": "ms"}, handle)
-        return len(events)
 
 
 def export_profile(profiler, path: str) -> dict:

@@ -5,7 +5,7 @@ Public surface:
 - :class:`Engine` — the event loop and clock
 - :class:`Event`, :class:`EventQueue` — scheduling primitives
 - :class:`RandomStreams`, :class:`RandomSource` — reproducible randomness
-- :class:`Trace` — structured execution tracing
+- :class:`Trace` — execution timelines (segments and point events)
 - time helpers (:func:`usec`, :func:`msec`, :func:`sec`, ...)
 """
 
@@ -44,7 +44,7 @@ from .time import (
     to_usec,
     usec,
 )
-from .trace import NullTrace, Segment, Trace, TraceEvent
+from .trace import Segment, Trace, TraceEvent
 
 __all__ = [
     "Engine",
@@ -53,7 +53,6 @@ __all__ = [
     "RandomSource",
     "RandomStreams",
     "Trace",
-    "NullTrace",
     "Segment",
     "TraceEvent",
     "ReproError",

@@ -1,26 +1,20 @@
-"""Structured execution tracing.
+"""Execution timelines.
 
-The tracer records what ran where and when: execution segments per PCPU,
-context switches, migrations, deadline misses, hypercalls.  Experiments
-use it to reconstruct timelines (Figure 1's schedule diagram, Figure 4's
-allocation-over-time series) without instrumenting the schedulers.
+A :class:`Trace` records what ran where and when: execution segments per
+PCPU, plus point events (context switches, job completions, faults).
+Experiments use it to reconstruct timelines (Figure 1's schedule
+diagram, Figure 4's allocation-over-time series) without instrumenting
+the schedulers.
 
-Since the telemetry refactor the tracer is one consumer among many: the
-machine publishes typed events on its :class:`~repro.telemetry.bus.
-TelemetryBus` and a connected trace converts them back into the legacy
-``Segment``/``TraceEvent`` records (byte-identical to what the old
-direct-recording path produced).  The direct ``record_*`` API remains
-for tests and ad-hoc callers.
-
-Tracing is off by default; enabling it costs one tuple append per event
-of interest.  Long-running simulations can bound memory with
-``Trace(capacity=N)``, which turns both record lists into ring buffers
-keeping the most recent N entries.
+A trace is a plain value.  The flight recorder
+(:mod:`repro.telemetry.record`) captures a run, and
+:func:`repro.telemetry.replay.timeline_from_trace` derives its
+``Trace``; tests may also construct one directly from segments and
+events.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -51,91 +45,10 @@ class TraceEvent:
 
 @dataclass
 class Trace:
-    """Accumulated trace of one simulation run.
+    """The segments and point events of one run, in the order it produced them."""
 
-    With ``capacity`` set, ``segments`` and ``events`` become bounded
-    ring buffers (``collections.deque`` with that ``maxlen``) so a
-    connected trace cannot grow without limit on long runs; unbounded
-    lists remain the default for exact post-hoc analysis.
-    """
-
-    enabled: bool = True
     segments: List[Segment] = field(default_factory=list)
     events: List[TraceEvent] = field(default_factory=list)
-    capacity: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.capacity is not None:
-            if self.capacity < 1:
-                raise ValueError(f"trace capacity must be >= 1, got {self.capacity}")
-            self.segments = deque(self.segments, maxlen=self.capacity)
-            self.events = deque(self.events, maxlen=self.capacity)
-        self._disconnect = None
-
-    def record_segment(
-        self, pcpu: int, vcpu: str, task: Optional[str], start: int, end: int
-    ) -> None:
-        """Record that *vcpu* (running *task*) occupied *pcpu* on [start, end)."""
-        if not self.enabled or end <= start:
-            return
-        self.segments.append(Segment(pcpu, vcpu, task, start, end))
-
-    def record_event(self, time: int, kind: str, *detail) -> None:
-        """Record a point event."""
-        if not self.enabled:
-            return
-        self.events.append(TraceEvent(time, kind, tuple(detail)))
-
-    # -- telemetry-bus subscription ----------------------------------------
-
-    def connect(self, bus) -> "Trace":
-        """Subscribe to *bus*, recording legacy records for its events.
-
-        Replaces any previous connection.  The handlers reproduce the
-        exact records the machine used to write directly: segments from
-        ``SEGMENT_END``; ``"switch"``, ``"complete"`` and ``"fault"``
-        point events from their typed counterparts.
-        """
-        from ..telemetry import events as E
-
-        self.disconnect()
-        cancels = [
-            bus.subscribe(E.SEGMENT_END, self._on_segment),
-            bus.subscribe(E.CONTEXT_SWITCH, self._on_switch),
-            bus.subscribe(E.JOB_COMPLETE, self._on_complete),
-            bus.subscribe(E.FAULT_INJECTED, self._on_fault),
-            bus.subscribe(E.FAULT_RECOVERED, self._on_fault),
-        ]
-
-        def disconnect() -> None:
-            for cancel in cancels:
-                cancel()
-
-        self._disconnect = disconnect
-        return self
-
-    def disconnect(self) -> None:
-        """Drop this trace's bus subscriptions (no-op when unconnected)."""
-        if getattr(self, "_disconnect", None) is not None:
-            self._disconnect()
-            self._disconnect = None
-
-    def _on_segment(self, event) -> None:
-        self.record_segment(event.pcpu, event.vcpu, event.task, event.start, event.end)
-
-    def _on_switch(self, event) -> None:
-        # The legacy trace only recorded switches *to* a VCPU; idle
-        # transitions exist solely as typed bus events.
-        if event.vcpu is not None:
-            self.record_event(
-                event.time, "switch", event.pcpu, event.vcpu, event.migrated
-            )
-
-    def _on_complete(self, event) -> None:
-        self.record_event(event.time, "complete", event.task, event.job)
-
-    def _on_fault(self, event) -> None:
-        self.record_event(event.time, "fault", event.fault, *event.detail)
 
     # -- queries -----------------------------------------------------------
 
@@ -182,12 +95,20 @@ class Trace:
         """
         if bucket <= 0:
             raise ValueError("bucket must be positive")
-        series = []
-        t = start
-        while t < end:
-            series.append((t, self.vcpu_usage_between(vcpu, t, min(t + bucket, end))))
-            t += bucket
-        return series
+        starts = range(start, end, bucket)
+        usage = [0] * len(starts)
+        for s in self.segments:
+            if s.vcpu != vcpu:
+                continue
+            lo = max(s.start, start)
+            hi = min(s.end, end)
+            if hi <= lo:
+                continue
+            # add the overlap into every bucket the segment touches
+            for i in range((lo - start) // bucket, (hi - 1 - start) // bucket + 1):
+                b_lo = start + i * bucket
+                usage[i] += min(hi, b_lo + bucket) - max(lo, b_lo)
+        return list(zip(starts, usage))
 
     def iter_overlaps(self) -> Iterator[Tuple[Segment, Segment]]:
         """Yield pairs of segments that overlap in time on the same PCPU.
@@ -203,9 +124,3 @@ class Trace:
                 if b.start < a.end:
                     yield (a, b)
 
-
-class NullTrace(Trace):
-    """A trace that records nothing (default when tracing is disabled)."""
-
-    def __init__(self) -> None:
-        super().__init__(enabled=False)

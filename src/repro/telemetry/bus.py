@@ -133,7 +133,7 @@ class TelemetryBus:
         for handler in list(handlers):
             handler(event)
             delivered += 1
-        profile.record_event(kind, delivered, perf_counter() - started)
+        profile.record_delivery(kind, delivered, perf_counter() - started)
 
     # -- self-profiling ---------------------------------------------------------------
 
@@ -142,7 +142,7 @@ class TelemetryBus:
 
         While installed, every :meth:`publish` that reaches at least one
         handler reports ``(kind, deliveries, wall seconds)`` through the
-        profiler's ``record_event``.  The zero-subscriber path never
+        profiler's ``record_delivery``.  The zero-subscriber path never
         touches the profiler, so the instrumented-but-idle cost stays
         one attribute test.
         """

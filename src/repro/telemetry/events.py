@@ -166,7 +166,7 @@ class JobLatencyEvent(NamedTuple):
 
 
 class JobCompleteEvent(NamedTuple):
-    """A job retired (mirrors the legacy ``"complete"`` trace event)."""
+    """A job retired (a ``"complete"`` event of the derived timeline)."""
 
     time: int
     task: str
@@ -222,11 +222,11 @@ class AdmissionDecisionEvent(NamedTuple):
 
 
 class FaultInjectedEvent(NamedTuple):
-    """A fault fired (mirrors the legacy ``"fault"`` trace event)."""
+    """A fault fired (a ``"fault"`` event of the derived timeline)."""
 
     time: int
     fault: str  # e.g. "pcpu_fail", "vm_churn", "surge"
-    detail: Tuple  # legacy detail tuple, minus the kind itself
+    detail: Tuple  # fault-log detail tuple, minus the kind itself
 
 
 class FaultRecoveredEvent(NamedTuple):

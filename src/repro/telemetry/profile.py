@@ -64,7 +64,7 @@ class SimProfiler:
 
     # -- recording hooks (called by the bus / the engine) -----------------------
 
-    def record_event(self, kind: str, deliveries: int, seconds: float) -> None:
+    def record_delivery(self, kind: str, deliveries: int, seconds: float) -> None:
         cell = self.event_costs.get(kind)
         if cell is None:
             cell = self.event_costs[kind] = [0, 0, 0.0]

@@ -37,6 +37,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..simcore.trace import Segment, Trace, TraceEvent
 from . import events as T
 from .record import TraceReader, TraceRecorder
 
@@ -556,3 +557,46 @@ def derive_from_trace(reader: TraceReader, section: Optional[int] = None):
         last_time = event.time
     spans.finalize(end_time=header.get("duration_ns", last_time))
     return spans, telemetry
+
+
+#: The recorded kinds a :class:`~repro.simcore.trace.Trace` is derived
+#: from; recording only these keeps every other producer silent.
+TIMELINE_KINDS = (
+    T.SEGMENT_END,
+    T.CONTEXT_SWITCH,
+    T.JOB_COMPLETE,
+    T.FAULT_INJECTED,
+    T.FAULT_RECOVERED,
+)
+
+
+def timeline_from_trace(reader: TraceReader, section: Optional[int] = None) -> Trace:
+    """The execution timeline of one recorded run, as a ``Trace``.
+
+    Segments come from ``SEGMENT_END`` (zero-length charges dropped);
+    point events are ``("switch", pcpu, vcpu, migrated)`` for switches
+    to a VCPU (idle transitions are not timeline events),
+    ``("complete", task, job)`` and ``("fault", fault, *detail)`` for
+    injections and recoveries alike.  Reads the recorded events
+    directly; no bus is involved.
+    """
+    segments: List[Segment] = []
+    events: List[TraceEvent] = []
+    for kind, event in reader.events(kinds=TIMELINE_KINDS, section=section):
+        if kind == T.SEGMENT_END:
+            if event.end > event.start:
+                segments.append(
+                    Segment(event.pcpu, event.vcpu, event.task, event.start, event.end)
+                )
+        elif kind == T.CONTEXT_SWITCH:
+            if event.vcpu is not None:
+                events.append(
+                    TraceEvent(
+                        event.time, "switch", (event.pcpu, event.vcpu, event.migrated)
+                    )
+                )
+        elif kind == T.JOB_COMPLETE:
+            events.append(TraceEvent(event.time, "complete", (event.task, event.job)))
+        else:
+            events.append(TraceEvent(event.time, "fault", (event.fault, *event.detail)))
+    return Trace(segments=segments, events=events)

@@ -7,14 +7,14 @@ from repro.guest.task import Task, TaskKind
 from repro.host.costs import ZERO_COSTS
 from repro.simcore.errors import ConfigurationError
 from repro.simcore.time import msec, usec
-from repro.simcore.trace import Trace
+from tests.conftest import record_timeline
 
 
-def make_system(pcpus=1, trace=None, **kw):
+def make_system(pcpus=1, **kw):
     kw.setdefault("cost_model", ZERO_COSTS)
     kw.setdefault("timeslice_ns", msec(1))
     kw.setdefault("ratelimit_ns", usec(500))
-    return CreditSystem(pcpu_count=pcpus, trace=trace, **kw)
+    return CreditSystem(pcpu_count=pcpus, **kw)
 
 
 class TestConfiguration:
@@ -39,28 +39,31 @@ class TestConfiguration:
 
 class TestProportionalShare:
     def test_equal_weights_near_equal_time(self):
-        trace = Trace()
-        system = make_system(trace=trace)
+        system = make_system()
+        timeline = record_timeline(system)
         for i in range(2):
             system.create_background_vm(f"bg{i}")
         system.run(msec(300))
+        trace = timeline()
         u0 = trace.vcpu_usage_between("bg0.vcpu0", 0, msec(300))
         u1 = trace.vcpu_usage_between("bg1.vcpu0", 0, msec(300))
         assert abs(u0 - u1) < msec(40)
 
     def test_work_conserving_single_vm(self):
-        trace = Trace()
-        system = make_system(trace=trace)
+        system = make_system()
+        timeline = record_timeline(system)
         system.create_background_vm("solo")
         system.run(msec(50))
+        trace = timeline()
         assert trace.vcpu_usage_between("solo.vcpu0", 0, msec(50)) == msec(50)
 
     def test_multiprocessor_spreads(self):
-        trace = Trace()
-        system = make_system(pcpus=2, trace=trace)
+        system = make_system(pcpus=2)
+        timeline = record_timeline(system)
         for i in range(2):
             system.create_background_vm(f"bg{i}")
         system.run(msec(50))
+        trace = timeline()
         for i in range(2):
             assert trace.vcpu_usage_between(f"bg{i}.vcpu0", 0, msec(50)) > msec(45)
 

@@ -13,6 +13,7 @@ from repro.host.costs import ZERO_COSTS
 from repro.simcore.errors import ConfigurationError
 from repro.simcore.time import msec
 from repro.workloads.periodic import TABLE1_GROUPS, RTASpec, PeriodicDriver
+from tests.conftest import record_timeline
 
 
 class TestConfiguration:
@@ -118,14 +119,12 @@ class TestBehaviour:
         assert task.stats.released >= 19
 
     def test_background_vm_runs_in_leftover(self):
-        from repro.simcore.trace import Trace
-
-        trace = Trace()
-        system = RTXenSystem(pcpu_count=1, cost_model=ZERO_COSTS, trace=trace)
+        system = RTXenSystem(pcpu_count=1, cost_model=ZERO_COSTS)
+        timeline = record_timeline(system)
         vm = system.create_vm("v", interfaces=[(msec(5), msec(10))])
         task = Task("t", msec(5), msec(10))
         system.register_rta(vm, task)
         PeriodicDriver(system.engine, vm, task).start()
         system.create_background_vm("bg")
         system.run(msec(100))
-        assert trace.vcpu_usage_between("bg.vcpu0", 0, msec(100)) >= msec(45)
+        assert timeline().vcpu_usage_between("bg.vcpu0", 0, msec(100)) >= msec(45)

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from typing import Callable
+
 import pytest
 
 from repro.host.costs import ZERO_COSTS
 from repro.simcore.engine import Engine
 from repro.simcore.trace import Trace
+from repro.telemetry.record import TraceReader, TraceRecorder
+from repro.telemetry.replay import TIMELINE_KINDS, timeline_from_trace
 
 
 @pytest.fixture
@@ -15,19 +19,16 @@ def engine() -> Engine:
 
 
 @pytest.fixture
-def trace() -> Trace:
-    return Trace()
-
-
-@pytest.fixture
 def zero_costs():
     return ZERO_COSTS
 
 
-def make_rtvirt(pcpus=1, slack_ns=0, costs=ZERO_COSTS, trace=None, **kw):
-    """An RTVirt system with exact-schedule defaults for unit tests."""
-    from repro.core.system import RTVirtSystem
+def record_timeline(system) -> Callable[[], Trace]:
+    """Record *system*'s (or a bare machine's) timeline from now on.
 
-    return RTVirtSystem(
-        pcpu_count=pcpus, cost_model=costs, slack_ns=slack_ns, trace=trace, **kw
-    )
+    Returns a function to call once the run is over: it closes the
+    recording and returns the :class:`Trace` derived from it.
+    """
+    bus = getattr(system, "machine", system).bus
+    recorder = TraceRecorder().attach(bus, kinds=TIMELINE_KINDS)
+    return lambda: timeline_from_trace(TraceReader(recorder.close()))

@@ -7,13 +7,12 @@ from repro.guest.task import Task
 from repro.host.costs import ZERO_COSTS
 from repro.simcore.errors import ConfigurationError
 from repro.simcore.time import msec
-from repro.simcore.trace import Trace
 from repro.workloads.periodic import PeriodicDriver
+from tests.conftest import record_timeline
 
 
-def build(pcpus=2, trace=None):
-    system = RTVirtSystem(pcpu_count=pcpus, cost_model=ZERO_COSTS, slack_ns=0, trace=trace)
-    return system
+def build(pcpus=2):
+    return RTVirtSystem(pcpu_count=pcpus, cost_model=ZERO_COSTS, slack_ns=0)
 
 
 def add_rta(system, name, s_ms, p_ms):
@@ -26,15 +25,15 @@ def add_rta(system, name, s_ms, p_ms):
 
 class TestAffinity:
     def test_affine_vcpu_never_migrates(self):
-        trace = Trace()
-        system = build(trace=trace)
+        system = build()
+        timeline = record_timeline(system)
         # High-utilization mix that forces wrap-around splits.
         vm_a, t_a = add_rta(system, "pinned", 8, 10)
         add_rta(system, "b", 8, 10)
         add_rta(system, "c", 3, 10)
         system.scheduler.set_affinity(vm_a.vcpus[0], 1)
         system.run(msec(100))
-        pcpus = {s.pcpu for s in trace.segments_for_vcpu(vm_a.vcpus[0].name)}
+        pcpus = {s.pcpu for s in timeline().segments_for_vcpu(vm_a.vcpus[0].name)}
         assert pcpus == {1}
 
     def test_affine_vcpu_meets_deadlines(self):
@@ -59,15 +58,15 @@ class TestAffinity:
         assert t_c.stats.missed == 0
 
     def test_no_parallel_self_execution_with_affinity(self):
-        trace = Trace()
-        system = build(trace=trace)
+        system = build()
+        timeline = record_timeline(system)
         vm_a, _ = add_rta(system, "pinned", 4, 10)
         add_rta(system, "b", 8, 10)
         add_rta(system, "c", 7, 10)
         system.scheduler.set_affinity(vm_a.vcpus[0], 1)
         system.run(msec(100))
         by_vcpu = {}
-        for seg in trace.segments:
+        for seg in timeline().segments:
             by_vcpu.setdefault(seg.vcpu, []).append((seg.start, seg.end))
         for intervals in by_vcpu.values():
             intervals.sort()
@@ -75,8 +74,7 @@ class TestAffinity:
                 assert s2 >= e1
 
     def test_clear_affinity_restores_migration(self):
-        trace = Trace()
-        system = build(trace=trace)
+        system = build()
         vm_a, t_a = add_rta(system, "pinned", 8, 10)
         add_rta(system, "b", 8, 10)
         add_rta(system, "c", 3, 10)
@@ -94,14 +92,15 @@ class TestAffinity:
             system.scheduler.set_affinity(vm.vcpus[0], 5)
 
     def test_two_affine_vcpus_share_a_pcpu(self):
-        trace = Trace()
-        system = build(trace=trace)
+        system = build()
+        timeline = record_timeline(system)
         vm_a, t_a = add_rta(system, "pin-a", 4, 10)
         vm_b, t_b = add_rta(system, "pin-b", 4, 10)
         system.scheduler.set_affinity(vm_a.vcpus[0], 0)
         system.scheduler.set_affinity(vm_b.vcpus[0], 0)
         system.run(msec(200))
         system.finalize()
+        trace = timeline()
         assert t_a.stats.missed == 0
         assert t_b.stats.missed == 0
         assert {s.pcpu for s in trace.segments_for_vcpu(vm_a.vcpus[0].name)} == {0}

@@ -9,14 +9,14 @@ from repro.guest.task import Task, TaskKind
 from repro.host.costs import ZERO_COSTS
 from repro.simcore.errors import ConfigurationError
 from repro.simcore.time import msec, usec
-from repro.simcore.trace import Trace
 from repro.workloads.periodic import PeriodicDriver
+from tests.conftest import record_timeline
 
 
-def system_with(pcpus=1, trace=None, **kw):
+def system_with(pcpus=1, **kw):
     kw.setdefault("cost_model", ZERO_COSTS)
     kw.setdefault("slack_ns", 0)
-    return RTVirtSystem(pcpu_count=pcpus, trace=trace, **kw)
+    return RTVirtSystem(pcpu_count=pcpus, **kw)
 
 
 def add_rta(system, name, s_ms, p_ms, kind=TaskKind.PERIODIC, drive=True):
@@ -91,11 +91,12 @@ class TestOptimality:
 
 class TestWrapMechanics:
     def test_migrations_bounded_per_slice(self):
-        trace = Trace()
-        system = system_with(pcpus=2, trace=trace)
+        system = system_with(pcpus=2)
+        timeline = record_timeline(system)
         for name, (s, p) in {"a": (8, 10), "b": (8, 10), "c": (4, 10)}.items():
             add_rta(system, name, s, p)
         system.run(msec(100))
+        trace = timeline()
         migrations = [e for e in trace.events_of_kind("switch") if e.detail[2]]
         slices = system.scheduler.slices_computed
         # DP-WRAP bound: at most m-1 = 1 split vcpu per slice; each split
@@ -103,11 +104,12 @@ class TestWrapMechanics:
         assert len(migrations) <= 2 * slices
 
     def test_no_parallel_execution_of_one_vcpu(self):
-        trace = Trace()
-        system = system_with(pcpus=2, trace=trace)
+        system = system_with(pcpus=2)
+        timeline = record_timeline(system)
         for name, (s, p) in {"a": (8, 10), "b": (8, 10), "c": (4, 10)}.items():
             add_rta(system, name, s, p)
         system.run(msec(100))
+        trace = timeline()
         by_vcpu = {}
         for s in trace.segments:
             by_vcpu.setdefault(s.vcpu, []).append((s.start, s.end))
@@ -117,12 +119,13 @@ class TestWrapMechanics:
                 assert s2 >= e1, "vcpu ran on two PCPUs simultaneously"
 
     def test_allocation_tracks_bandwidth(self):
-        trace = Trace()
-        system = system_with(trace=trace)
+        system = system_with()
+        timeline = record_timeline(system)
         vm, task, _ = add_rta(system, "a", 3, 10)
         # A competing reservation so 'a' cannot borrow all slack.
         add_rta(system, "b", 7, 10)
         system.run(msec(100))
+        trace = timeline()
         usage = trace.vcpu_usage_between(vm.vcpus[0].name, 0, msec(100))
         assert usage == msec(30)
 
@@ -170,22 +173,24 @@ class TestSporadicSupport:
 
 class TestWorkConservation:
     def test_background_gets_leftover(self):
-        trace = Trace()
-        system = system_with(trace=trace)
+        system = system_with()
+        timeline = record_timeline(system)
         add_rta(system, "a", 2, 10)
         system.create_background_vm("bg")
         system.run(msec(100))
+        trace = timeline()
         bg_usage = trace.vcpu_usage_between("bg.vcpu0", 0, msec(100))
         assert bg_usage >= msec(75)
 
     def test_rt_waiter_preferred_over_background(self):
-        trace = Trace()
-        system = system_with(trace=trace)
+        system = system_with()
+        timeline = record_timeline(system)
         # Two RT VMs at 0.4 each; when one finishes early its donated
         # time goes to the other RT VM before background.
         vm_a, task_a, _ = add_rta(system, "a", 4, 10)
         system.create_background_vm("bg")
         system.run(msec(100))
+        trace = timeline()
         a_usage = trace.vcpu_usage_between(vm_a.vcpus[0].name, 0, msec(100))
         assert a_usage == msec(40)  # exactly its demand; rest to bg
 

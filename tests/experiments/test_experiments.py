@@ -95,6 +95,29 @@ class TestSporadic:
         assert run.released >= 40
 
 
+class TestFig4:
+    def test_allocation_curves_pinned(self):
+        """The allocation curves, which no rows hash covers, are pinned to
+        the digest of the run before they were derived from a recording."""
+        import hashlib
+        import json
+
+        from repro.experiments.fig4_dynamic import run_fig4
+        from repro.experiments.registry import FIG4_SEED
+
+        result = run_fig4(duration_ns=sec(20), seed=FIG4_SEED)
+        assert all(result.allocation_series.values())
+        blob = json.dumps(
+            [
+                result.allocation_series,
+                result.mean_dynamic_cpus,
+                result.static_peak_cpus,
+            ],
+            sort_keys=True,
+        )
+        assert hashlib.sha256(blob.encode()).hexdigest()[:16] == "b854863e807ed5c8"
+
+
 class TestTable4:
     def test_scheduler_ordering(self):
         from repro.experiments.table4_dedicated import run_table4

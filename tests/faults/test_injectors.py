@@ -22,6 +22,7 @@ from repro.host.costs import ZERO_COSTS
 from repro.simcore.rng import RandomStreams
 from repro.simcore.time import msec, sec
 from repro.workloads.periodic import PeriodicDriver
+from tests.conftest import record_timeline
 
 
 def rtvirt(pcpu_count=2, **kw):
@@ -78,15 +79,14 @@ class TestPcpuFaults:
         assert vm2.vcpus[0].budget_ns == msec(7)
 
     def test_fault_log_and_trace(self):
-        from repro.simcore.trace import Trace
-
-        system = rtvirt(pcpu_count=2, trace=Trace())
+        system = rtvirt(pcpu_count=2)
+        timeline = record_timeline(system)
         loaded(system)
         ctx = FaultContext(system)
         system.run(msec(1))
         PcpuFail(0).apply(ctx)
         assert [(k, d) for _, k, d in ctx.log] == [("pcpu_fail", (0,))]
-        kinds = [e.detail[0] for e in system.machine.trace.events_of_kind("fault")]
+        kinds = [e.detail[0] for e in timeline().events_of_kind("fault")]
         assert "pcpu_fail" in kinds
 
     @pytest.mark.parametrize("build", [

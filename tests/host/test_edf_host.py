@@ -10,12 +10,12 @@ from repro.host.costs import ZERO_COSTS
 from repro.host.edf import EDFHostScheduler
 from repro.simcore.errors import ConfigurationError
 from repro.simcore.time import msec
-from repro.simcore.trace import Trace
 from repro.workloads.periodic import PeriodicDriver
+from tests.conftest import record_timeline
 
 
-def build(pcpus=1, trace=None):
-    system = BaseSystem(pcpus, cost_model=ZERO_COSTS, trace=trace)
+def build(pcpus=1):
+    system = BaseSystem(pcpus, cost_model=ZERO_COSTS)
     sched = EDFHostScheduler()
     system.machine.set_host_scheduler(sched)
     return system, sched
@@ -52,13 +52,14 @@ class TestConfiguration:
 
 class TestEDFBehaviour:
     def test_earliest_deadline_runs_first(self):
-        trace = Trace()
-        system, sched = build(trace=trace)
+        system, sched = build()
+        timeline = record_timeline(system)
         vm_a, t_a = add_server(system, sched, "a", 5, 20, task_params=(5, 20))
         vm_b, t_b = add_server(system, sched, "b", 5, 10, task_params=(5, 10))
         PeriodicDriver(system.engine, vm_a, t_a).start()
         PeriodicDriver(system.engine, vm_b, t_b).start()
         system.run(msec(10))
+        trace = timeline()
         first = trace.segments[0]
         assert first.vcpu == "b.vcpu0"  # deadline 10 < 20
 
@@ -73,8 +74,8 @@ class TestEDFBehaviour:
         assert system.miss_report().total_missed == 0
 
     def test_budget_exhaustion_preempts(self):
-        trace = Trace()
-        system, sched = build(trace=trace)
+        system, sched = build()
+        timeline = record_timeline(system)
         # Server a has budget 2 but its task wants 5 per period: it gets
         # throttled at 2ms and b runs.
         vm_a, t_a = add_server(system, sched, "a", 2, 10, task_params=(5, 10))
@@ -82,6 +83,7 @@ class TestEDFBehaviour:
         PeriodicDriver(system.engine, vm_a, t_a).start()
         PeriodicDriver(system.engine, vm_b, t_b).start()
         system.run(msec(10))
+        trace = timeline()
         a_usage = trace.vcpu_usage_between("a.vcpu0", 0, msec(10))
         assert a_usage == msec(2)
 
@@ -98,20 +100,21 @@ class TestEDFBehaviour:
         assert task.stats.met == 1  # served at 5..7 with retained budget
 
     def test_multiprocessor_runs_m_earliest(self):
-        trace = Trace()
-        system, sched = build(pcpus=2, trace=trace)
+        system, sched = build(pcpus=2)
+        timeline = record_timeline(system)
         for name, p in (("a", 10), ("b", 20), ("c", 30)):
             vm, t = add_server(system, sched, name, 5, p, task_params=(5, p))
             PeriodicDriver(system.engine, vm, t).start()
         system.run(msec(5))
+        trace = timeline()
         running = {s.vcpu for s in trace.segments if s.start == 0}
         assert running == {"a.vcpu0", "b.vcpu0"}
 
 
 class TestBackgroundFill:
     def test_leftover_goes_to_background(self):
-        trace = Trace()
-        system, sched = build(trace=trace)
+        system, sched = build()
+        timeline = record_timeline(system)
         vm, t = add_server(system, sched, "a", 2, 10, task_params=(2, 10))
         PeriodicDriver(system.engine, vm, t).start()
         bg_vm = VM("bg", slack_ns=0)
@@ -119,25 +122,26 @@ class TestBackgroundFill:
         bg_vm.add_background_process()
         sched.add_background_vcpu(bg_vm.vcpus[0])
         system.run(msec(10))
+        trace = timeline()
         assert trace.vcpu_usage_between("bg.vcpu0", 0, msec(10)) >= msec(7)
 
     def test_background_rotation_shares_time(self):
-        trace = Trace()
-        system, sched = build(trace=trace)
+        system, sched = build()
+        timeline = record_timeline(system)
         for i in range(2):
             bg_vm = VM(f"bg{i}", slack_ns=0)
             system._attach(bg_vm)
             bg_vm.add_background_process()
             sched.add_background_vcpu(bg_vm.vcpus[0])
         system.run(msec(20))
+        trace = timeline()
         u0 = trace.vcpu_usage_between("bg0.vcpu0", 0, msec(20))
         u1 = trace.vcpu_usage_between("bg1.vcpu0", 0, msec(20))
         assert u0 > 0 and u1 > 0
         assert abs(u0 - u1) <= msec(2)  # one rotation quantum
 
     def test_rt_preempts_background(self):
-        trace = Trace()
-        system, sched = build(trace=trace)
+        system, sched = build()
         bg_vm = VM("bg", slack_ns=0)
         system._attach(bg_vm)
         bg_vm.add_background_process()

@@ -10,7 +10,7 @@ from repro.host.scheduler import HostScheduler
 from repro.simcore.engine import Engine
 from repro.simcore.errors import ConfigurationError, SchedulingError
 from repro.simcore.time import msec, usec
-from repro.simcore.trace import Trace
+from tests.conftest import record_timeline
 
 
 class ManualScheduler(HostScheduler):
@@ -43,9 +43,9 @@ class ManualScheduler(HostScheduler):
         pass
 
 
-def build(pcpus=1, costs=ZERO_COSTS, trace=None):
+def build(pcpus=1, costs=ZERO_COSTS):
     engine = Engine()
-    machine = Machine(engine, pcpus, costs, trace)
+    machine = Machine(engine, pcpus, costs)
     sched = ManualScheduler()
     machine.set_host_scheduler(sched)
     vm = VM("vm", vcpu_count=2)
@@ -108,14 +108,15 @@ class TestWorkCharging:
             machine.set_running(1, t.vcpu)
 
     def test_trace_segments_recorded(self):
-        trace = Trace()
-        engine, machine, sched, vm = build(trace=trace)
+        engine, machine, sched, vm = build()
+        timeline = record_timeline(machine)
         t = Task("t", msec(2), msec(10))
         vm.register_task(t)
         machine.start()
         vm.release_job(t, now=0)
         machine.set_running(0, t.vcpu)
         engine.run_until(msec(3))
+        trace = timeline()
         segs = trace.segments_for_task("t")
         assert sum(s.duration for s in segs) == msec(2)
         assert list(trace.iter_overlaps()) == []

@@ -10,12 +10,12 @@ from repro.host.costs import ZERO_COSTS
 from repro.host.edf import PartitionedEDFHostScheduler
 from repro.simcore.errors import ConfigurationError
 from repro.simcore.time import msec
-from repro.simcore.trace import Trace
 from repro.workloads.periodic import PeriodicDriver
+from tests.conftest import record_timeline
 
 
-def build(pcpus=2, trace=None):
-    system = BaseSystem(pcpus, cost_model=ZERO_COSTS, trace=trace)
+def build(pcpus=2):
+    system = BaseSystem(pcpus, cost_model=ZERO_COSTS)
     sched = PartitionedEDFHostScheduler()
     system.machine.set_host_scheduler(sched)
     return system, sched
@@ -112,10 +112,11 @@ class TestPlacement:
 
 class TestExecution:
     def test_no_migration_ever(self):
-        trace = Trace()
-        system, sched = build(trace=trace)
+        system, sched = build()
+        timeline = record_timeline(system)
         vms = [add_server(system, sched, f"v{i}", 3, 10)[0] for i in range(4)]
         system.run(msec(200))
+        trace = timeline()
         for vm in vms:
             pcpus = {s.pcpu for s in trace.segments_for_vcpu(vm.vcpus[0].name)}
             assert len(pcpus) == 1
@@ -130,22 +131,24 @@ class TestExecution:
         assert sum(t.stats.missed for t in tasks) == 0
 
     def test_edf_order_within_pcpu(self):
-        trace = Trace()
-        system, sched = build(pcpus=1, trace=trace)
+        system, sched = build(pcpus=1)
+        timeline = record_timeline(system)
         add_server(system, sched, "long", 2, 20, pcpu=0)
         add_server(system, sched, "short", 2, 10, pcpu=0)
         system.run(msec(5))
+        trace = timeline()
         assert trace.segments[0].vcpu == "short.t" or trace.segments[0].vcpu == "short.vcpu0"
 
     def test_background_fills_leftover(self):
-        trace = Trace()
-        system, sched = build(pcpus=1, trace=trace)
+        system, sched = build(pcpus=1)
+        timeline = record_timeline(system)
         add_server(system, sched, "a", 2, 10)
         bg = VM("bg", slack_ns=0)
         system._attach(bg)
         bg.add_background_process()
         sched.add_background_vcpu(bg.vcpus[0])
         system.run(msec(100))
+        trace = timeline()
         assert trace.vcpu_usage_between("bg.vcpu0", 0, msec(100)) >= msec(70)
 
     def test_fragmentation_vs_global(self):

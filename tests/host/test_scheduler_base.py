@@ -9,7 +9,7 @@ from repro.host.scheduler import HostScheduler
 from repro.simcore.engine import Engine
 from repro.simcore.errors import SchedulingError
 from repro.simcore.time import msec
-from repro.simcore.trace import Trace
+from tests.conftest import record_timeline
 
 
 class BareScheduler(HostScheduler):
@@ -36,8 +36,8 @@ class BareScheduler(HostScheduler):
 
 def build(bg_count=2, pcpus=1):
     engine = Engine()
-    trace = Trace()
-    machine = Machine(engine, pcpus, ZERO_COSTS, trace)
+    machine = Machine(engine, pcpus, ZERO_COSTS)
+    timeline = record_timeline(machine)
     sched = BareScheduler()
     machine.set_host_scheduler(sched)
     vms = []
@@ -47,7 +47,7 @@ def build(bg_count=2, pcpus=1):
         vm.add_background_process()
         sched.add_background_vcpu(vm.vcpus[0])
         vms.append(vm)
-    return engine, machine, sched, trace, vms
+    return engine, machine, sched, timeline, vms
 
 
 class TestBackgroundHelpers:
@@ -57,27 +57,28 @@ class TestBackgroundHelpers:
             _ = sched.engine
 
     def test_single_background_runs_continuously(self):
-        engine, machine, sched, trace, vms = build(bg_count=1)
+        engine, machine, sched, timeline, vms = build(bg_count=1)
         machine.run(msec(10))
-        assert trace.vcpu_usage_between("bg0.vcpu0", 0, msec(10)) == msec(10)
+        assert timeline().vcpu_usage_between("bg0.vcpu0", 0, msec(10)) == msec(10)
 
     def test_rotation_alternates_vcpus(self):
-        engine, machine, sched, trace, vms = build(bg_count=2)
+        engine, machine, sched, timeline, vms = build(bg_count=2)
         machine.run(msec(10))
+        trace = timeline()
         u0 = trace.vcpu_usage_between("bg0.vcpu0", 0, msec(10))
         u1 = trace.vcpu_usage_between("bg1.vcpu0", 0, msec(10))
         assert u0 > 0 and u1 > 0
         assert abs(u0 - u1) <= sched.bg_quantum_ns
 
     def test_next_background_skips_running(self):
-        engine, machine, sched, trace, vms = build(bg_count=2, pcpus=2)
+        engine, machine, sched, timeline, vms = build(bg_count=2, pcpus=2)
         machine.run(msec(5))
         # Both PCPUs occupied; the two VCPUs must be distinct.
         occupants = {p.running_vcpu.name for p in machine.pcpus}
         assert len(occupants) == 2
 
     def test_next_background_excludes(self):
-        engine, machine, sched, trace, vms = build(bg_count=2)
+        engine, machine, sched, timeline, vms = build(bg_count=2)
         machine.start()
         choice = sched.next_background_vcpu(exclude={vms[0].vcpus[0], vms[1].vcpus[0]})
         assert choice is None

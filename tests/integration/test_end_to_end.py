@@ -10,10 +10,10 @@ from repro.guest.task import Task, TaskKind
 from repro.host.costs import DEFAULT_COSTS, ZERO_COSTS
 from repro.simcore.rng import RandomStreams
 from repro.simcore.time import msec, sec, usec
-from repro.simcore.trace import Trace
 from repro.workloads.memcached import MemcachedService
 from repro.workloads.background import add_background_vms
 from repro.workloads.periodic import PeriodicDriver
+from tests.conftest import record_timeline
 
 
 class TestDynamicLifecycle:
@@ -100,27 +100,25 @@ class TestMixedWorkloads:
 
 class TestAccountingConsistency:
     def test_busy_time_matches_trace(self):
-        trace = Trace()
-        system = RTVirtSystem(
-            pcpu_count=1, cost_model=ZERO_COSTS, slack_ns=0, trace=trace
-        )
+        system = RTVirtSystem(pcpu_count=1, cost_model=ZERO_COSTS, slack_ns=0)
+        timeline = record_timeline(system)
         vm = system.create_vm("vm")
         t = sched_setattr(vm, "a", msec(3), msec(10))
         PeriodicDriver(system.engine, vm, t).start()
         system.run(msec(100))
         system.finalize()
+        trace = timeline()
         assert trace.busy_time() == system.machine.metrics.total_busy()
 
     def test_work_executed_equals_work_completed(self):
-        trace = Trace()
-        system = RTVirtSystem(
-            pcpu_count=1, cost_model=ZERO_COSTS, slack_ns=0, trace=trace
-        )
+        system = RTVirtSystem(pcpu_count=1, cost_model=ZERO_COSTS, slack_ns=0)
+        timeline = record_timeline(system)
         vm = system.create_vm("vm")
         t = sched_setattr(vm, "a", msec(3), msec(10))
         PeriodicDriver(system.engine, vm, t).start()
         system.run(msec(105))
         system.finalize()
+        trace = timeline()
         completed_work = t.stats.completed * msec(3)
         pending_progress = sum(j.work - j.remaining for j in t.pending)
         assert trace.busy_time() == completed_work + pending_progress

@@ -10,8 +10,8 @@ from repro.baselines.rtxen import RTXenSystem
 from repro.guest.task import Task
 from repro.host.costs import ZERO_COSTS
 from repro.simcore.time import msec
-from repro.simcore.trace import Trace
 from repro.workloads.periodic import PeriodicDriver
+from tests.conftest import record_timeline
 
 server_spec = st.tuples(st.integers(1, 5), st.integers(6, 20))
 
@@ -20,8 +20,8 @@ server_spec = st.tuples(st.integers(1, 5), st.integers(6, 20))
 @settings(max_examples=20, deadline=None)
 def test_deferrable_server_never_exceeds_budget(specs):
     """No server receives more than budget per period (supply cap)."""
-    trace = Trace()
-    system = RTXenSystem(pcpu_count=1, cost_model=ZERO_COSTS, trace=trace)
+    system = RTXenSystem(pcpu_count=1, cost_model=ZERO_COSTS)
+    timeline = record_timeline(system)
     vms = []
     for i, (budget, period) in enumerate(specs):
         vm = system.create_vm(f"v{i}", interfaces=[(msec(budget), msec(period))])
@@ -32,6 +32,7 @@ def test_deferrable_server_never_exceeds_budget(specs):
         vms.append((vm, budget, period))
     horizon = msec(200)
     system.run(horizon)
+    trace = timeline()
     for vm, budget, period in vms:
         for k in range(horizon // msec(period)):
             window = (k * msec(period), (k + 1) * msec(period))
@@ -45,8 +46,8 @@ def test_edf_host_work_conserving(specs):
     """With a backlogged server present, the PCPU never idles while any
     server has both budget and work."""
     total_bw = sum(Fraction(b, p) for b, p in specs)
-    trace = Trace()
-    system = RTXenSystem(pcpu_count=1, cost_model=ZERO_COSTS, trace=trace)
+    system = RTXenSystem(pcpu_count=1, cost_model=ZERO_COSTS)
+    timeline = record_timeline(system)
     for i, (budget, period) in enumerate(specs):
         vm = system.create_vm(f"v{i}", interfaces=[(msec(budget), msec(period))])
         task = Task(f"t{i}", msec(period), msec(period))
@@ -54,6 +55,7 @@ def test_edf_host_work_conserving(specs):
         PeriodicDriver(system.engine, vm, task).start()
     horizon = msec(100)
     system.run(horizon)
+    trace = timeline()
     busy = trace.busy_time(pcpu=0)
     expected = min(float(total_bw), 1.0) * horizon
     assert busy >= expected * 0.95
@@ -63,18 +65,15 @@ def test_edf_host_work_conserving(specs):
 @settings(max_examples=10, deadline=None)
 def test_credit_proportional_share(weight_ratio, vm_pairs):
     """Long-run CPU time tracks weights for CPU-bound VMs."""
-    trace = Trace()
-    system = CreditSystem(
-        pcpu_count=1, cost_model=ZERO_COSTS, timeslice_ns=msec(1)
-    )
+    system = CreditSystem(pcpu_count=1, cost_model=ZERO_COSTS, timeslice_ns=msec(1))
     heavy = system.create_vm("heavy", weight=256 * weight_ratio)
     heavy.add_background_process()
     light = system.create_vm("light", weight=256)
     light.add_background_process()
-    system.machine.trace = trace
-    system.machine.trace.enabled = True
+    timeline = record_timeline(system)
     horizon = msec(600)
     system.run(horizon)
+    trace = timeline()
     heavy_time = trace.vcpu_usage_between("heavy.vcpu0", 0, horizon)
     light_time = trace.vcpu_usage_between("light.vcpu0", 0, horizon)
     assert heavy_time + light_time >= horizon * 0.99  # work conserving

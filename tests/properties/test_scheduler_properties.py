@@ -19,8 +19,8 @@ from repro.core.system import RTVirtSystem
 from repro.guest.task import Task
 from repro.host.costs import ZERO_COSTS
 from repro.simcore.time import msec, usec
-from repro.simcore.trace import Trace
 from repro.workloads.periodic import PeriodicDriver
+from tests.conftest import record_timeline
 
 # (slice_ms, period_ms) pairs with utilization <= 1 each.
 task_spec = st.tuples(st.integers(1, 9), st.integers(10, 40)).map(
@@ -28,10 +28,8 @@ task_spec = st.tuples(st.integers(1, 9), st.integers(10, 40)).map(
 )
 
 
-def _build(specs, pcpus, trace=None):
-    system = RTVirtSystem(
-        pcpu_count=pcpus, cost_model=ZERO_COSTS, slack_ns=0, trace=trace
-    )
+def _build(specs, pcpus):
+    system = RTVirtSystem(pcpu_count=pcpus, cost_model=ZERO_COSTS, slack_ns=0)
     tasks = []
     for i, (s, p) in enumerate(specs):
         vm = system.create_vm(f"vm{i}")
@@ -58,9 +56,10 @@ def test_dpwrap_meets_all_deadlines_when_feasible(specs):
 def test_no_vcpu_runs_on_two_pcpus(specs):
     total = sum(Fraction(s, p) for s, p in specs)
     pcpus = max(int(total) + (1 if total % 1 else 0), 2)
-    trace = Trace()
-    system, tasks = _build(specs, pcpus, trace=trace)
+    system, tasks = _build(specs, pcpus)
+    timeline = record_timeline(system)
     system.run(msec(200))
+    trace = timeline()
     by_vcpu = {}
     for seg in trace.segments:
         by_vcpu.setdefault(seg.vcpu, []).append((seg.start, seg.end))
@@ -75,9 +74,10 @@ def test_no_vcpu_runs_on_two_pcpus(specs):
 def test_pcpu_never_runs_two_vcpus(specs):
     total = sum(Fraction(s, p) for s, p in specs)
     pcpus = int(total) + (1 if total % 1 else 0) or 1
-    trace = Trace()
-    system, tasks = _build(specs, pcpus, trace=trace)
+    system, tasks = _build(specs, pcpus)
+    timeline = record_timeline(system)
     system.run(msec(200))
+    trace = timeline()
     assert list(trace.iter_overlaps()) == []
 
 
@@ -88,11 +88,12 @@ def test_allocation_tracks_entitlement(specs, extra_idle_pcpus):
     least its bandwidth share (exact reservations, zero costs)."""
     total = sum(Fraction(s, p) for s, p in specs)
     pcpus = (int(total) + (1 if total % 1 else 0) or 1) + extra_idle_pcpus
-    trace = Trace()
-    system, tasks = _build(specs, pcpus, trace=trace)
+    system, tasks = _build(specs, pcpus)
+    timeline = record_timeline(system)
     horizon = msec(400)
     system.run(horizon)
     system.finalize()
+    trace = timeline()
     for task, (s, p) in zip(tasks, specs):
         windows = horizon // msec(p)
         demand = windows * msec(s)

@@ -11,16 +11,21 @@ from repro.metrics.stats import (
 )
 from repro.report.export import export_chrome_trace, trace_to_chrome_events
 from repro.simcore.errors import ConfigurationError
-from repro.simcore.trace import Trace
+from repro.simcore.trace import Segment, Trace, TraceEvent
+from tests.conftest import record_timeline
 
 
 def sample_trace():
-    trace = Trace()
-    trace.record_segment(0, "vm1.vcpu0", "t1", 0, 1_000_000)
-    trace.record_segment(1, "vm2.vcpu0", "t2", 0, 2_000_000)
-    trace.record_event(1_000_000, "switch", 0, "vm2.vcpu0", True)
-    trace.record_event(2_000_000, "complete", "t2", 0)
-    return trace
+    return Trace(
+        segments=[
+            Segment(0, "vm1.vcpu0", "t1", 0, 1_000_000),
+            Segment(1, "vm2.vcpu0", "t2", 0, 2_000_000),
+        ],
+        events=[
+            TraceEvent(1_000_000, "switch", (0, "vm2.vcpu0", True)),
+            TraceEvent(2_000_000, "complete", ("t2", 0)),
+        ],
+    )
 
 
 class TestChromeExport:
@@ -57,8 +62,10 @@ class TestChromeExport:
 class TestFaultTrack:
     def faulted_trace(self):
         trace = sample_trace()
-        trace.record_event(500_000, "fault", "pcpu_fail", 1, "vm1.vcpu0")
-        trace.record_event(1_500_000, "fault", "vm_churn", "churn0", "boot")
+        trace.events += [
+            TraceEvent(500_000, "fault", ("pcpu_fail", 1, "vm1.vcpu0")),
+            TraceEvent(1_500_000, "fault", ("vm_churn", "churn0", "boot")),
+        ]
         return trace
 
     def test_fault_events_land_on_dedicated_track(self):
@@ -95,92 +102,15 @@ class TestFaultTrack:
         from repro.faults import At, PcpuFail, PcpuRecover, Scenario
         from repro.simcore.time import msec
 
-        system = RTVirtSystem(pcpu_count=2, trace=Trace())
+        system = RTVirtSystem(pcpu_count=2)
+        timeline = record_timeline(system)
         Scenario(
             [At(msec(2), PcpuFail(1)), At(msec(4), PcpuRecover(1))]
         ).install(system)
         system.run(msec(10))
-        events = trace_to_chrome_events(system.machine.trace)
+        events = trace_to_chrome_events(timeline())
         names = [e["name"] for e in events if e.get("cat") == "faults"]
         assert "fault:pcpu_fail" in names and "fault:pcpu_recover" in names
-
-
-class TestStreamingExporter:
-    """The streamed exporter must hold its invariants under a real,
-    faulted, spans-enabled run — not just synthetic traces."""
-
-    @pytest.fixture(scope="class")
-    def faulted_run(self):
-        from repro.experiments.robustness import run_robustness_case
-        from repro.report.export import ChromeTraceExporter
-        from repro.simcore.time import sec
-        from repro.telemetry.spans import SpanBuilder
-
-        holder = {}
-
-        def attach(system):
-            holder["exporter"] = ChromeTraceExporter().attach(
-                system.machine.bus
-            )
-            holder["spans"] = SpanBuilder().attach(system.machine)
-
-        run_robustness_case(
-            "pcpu_fail",
-            "RT-Xen",
-            sec(1),
-            seed=11,
-            check_invariants=False,
-            attach=attach,
-        )
-        return holder
-
-    def test_written_json_parses(self, faulted_run, tmp_path):
-        path = tmp_path / "trace.json"
-        count = faulted_run["exporter"].write(str(path))
-        payload = json.loads(path.read_text())
-        assert payload["displayTimeUnit"] == "ms"
-        assert len(payload["traceEvents"]) == count > 0
-
-    def test_duration_events_ordered_and_disjoint_per_tid(self, faulted_run):
-        per_tid = {}
-        for event in faulted_run["exporter"].events():
-            if event["ph"] == "X":
-                per_tid.setdefault(event["tid"], []).append(event)
-        assert per_tid, "a faulted run must execute something"
-        for tid, rows in per_tid.items():
-            cursor = None
-            for row in rows:
-                # Timestamps are float µs; compare in integer ns to dodge
-                # the rounding noise the ns->µs division introduces.
-                start = round(row["ts"] * 1000)
-                end = round((row["ts"] + row["dur"]) * 1000)
-                assert end > start
-                if cursor is not None:
-                    # Streamed in charge order: starts never go backwards
-                    # and segments on one PCPU never overlap.
-                    assert start >= cursor
-                cursor = end
-
-    def test_fault_rows_survive_spans_enabled_run(self, faulted_run):
-        from repro.report.export import FAULT_TRACK_TID
-
-        events = faulted_run["exporter"].events()
-        fault_rows = [
-            e
-            for e in events
-            if e.get("tid") == FAULT_TRACK_TID and e["ph"] == "i"
-        ]
-        assert fault_rows, "pcpu_fail must land on the fault track"
-        assert any("pcpu_fail" in e["name"] for e in fault_rows)
-        meta = [
-            e
-            for e in events
-            if e["ph"] == "M" and e.get("tid") == FAULT_TRACK_TID
-        ]
-        assert meta and meta[0]["args"]["name"] == "faults"
-        # And the span consumer on the same bus saw the run too.
-        spans = faulted_run["spans"]
-        assert spans.spans and spans.hypercall_fault_windows() == []
 
 
 class TestWilson:

@@ -4,7 +4,11 @@ import pytest
 
 from repro.report import render_cdf, render_gantt, sparkline
 from repro.simcore.errors import ConfigurationError
-from repro.simcore.trace import Trace
+from repro.simcore.trace import Segment, Trace
+
+
+def segments(*rows) -> Trace:
+    return Trace(segments=[Segment(*row) for row in rows])
 
 
 class TestSparkline:
@@ -54,25 +58,21 @@ class TestCdfPlot:
 
 class TestGantt:
     def test_renders_lanes_and_key(self):
-        trace = Trace()
-        trace.record_segment(0, "vm1", "t", 0, 50)
-        trace.record_segment(0, "vm2", "t", 50, 100)
-        trace.record_segment(1, "vm3", "t", 0, 100)
+        trace = segments(
+            (0, "vm1", "t", 0, 50), (0, "vm2", "t", 50, 100), (1, "vm3", "t", 0, 100)
+        )
         out = render_gantt(trace, 0, 100, width=20)
         assert "pcpu0" in out and "pcpu1" in out
         assert "key:" in out
         assert "A=vm1" in out
 
     def test_majority_wins_bucket(self):
-        trace = Trace()
-        trace.record_segment(0, "a", "t", 0, 90)
-        trace.record_segment(0, "b", "t", 90, 100)
+        trace = segments((0, "a", "t", 0, 90), (0, "b", "t", 90, 100))
         out = render_gantt(trace, 0, 100, width=1)
         assert "|A|" in out
 
     def test_idle_buckets_dotted(self):
-        trace = Trace()
-        trace.record_segment(0, "a", "t", 0, 10)
+        trace = segments((0, "a", "t", 0, 10))
         out = render_gantt(trace, 0, 100, width=10)
         assert "·" in out
 
